@@ -13,7 +13,7 @@ from ifipm.cli import main as ifipm_main
 inst = generate(GeneratorSpec(m=5, n=12, kappa_target=100.0, seed=2))
 gap0 = float(inst.start.x @ inst.start.s)
 final, states = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
-                          params=IpmParams())
+                          params=IpmParams(condition_numbers=True))
 print("loop  scale        gap          contraction  inner-iters  max kappa")
 prev = gap0
 for st in states:

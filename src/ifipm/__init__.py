@@ -12,7 +12,17 @@ Library layout:
   inner iterative refinement;
 * :mod:`ifipm.ipm` — the short-step loop and the outer refinement driver;
 * :mod:`ifipm.cli` — the ``ifipm`` command (generate / solve / trace / batch).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set. numpy and scipy each load their own OpenBLAS, and two
+thread pools contending for the cores make the per-iteration dense
+kernels several times slower than one thread. The setting reaches a BLAS
+library only if it is loaded after this import.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
 from . import errors
 from .problem import (

@@ -165,9 +165,11 @@ def _solver_from_args(args):
     raise errors.InputError(f"unknown solver {name!r}")
 
 
-def _params_from_args(args, system: SystemKind) -> IpmParams:
+def _params_from_args(args, system: SystemKind,
+                      condition_numbers: bool = False) -> IpmParams:
     return IpmParams(theta=args.theta, eta=args.eta, zeta=args.zeta,
-                     system=system, solver=_solver_from_args(args))
+                     system=system, solver=_solver_from_args(args),
+                     condition_numbers=condition_numbers)
 
 
 def cmd_generate(args) -> int:
@@ -190,7 +192,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     lp, start, basis = _obtain_instance(args)
     system = SystemKind.parse(args.system[0] if args.system else "mnes")
-    params = _params_from_args(args, system)
+    params = _params_from_args(args, system, condition_numbers=True)
     out = Path(args.out)
     payload = {"system": system.value, "solver": args.solver}
     if args.zeta_hat is not None:
@@ -274,7 +276,7 @@ def cmd_batch(args) -> int:
                     raise errors.InputError(f"{source}: no interior start")
                 lp, start, basis = loaded.lp, loaded.interior, loaded.basis
             system = SystemKind.parse(args.system[0] if args.system else "mnes")
-            params = _params_from_args(args, system)
+            params = _params_from_args(args, system, condition_numbers=True)
             if args.zeta_hat is not None:
                 final, states = ir_if_ipm(lp, start, zeta=args.zeta,
                                           zeta_hat=args.zeta_hat, params=params,

@@ -36,8 +36,8 @@ from .newton import (
     condition_number,
     proc_a_residual_bound,
     recover_direction_as,
+    recover_direction_basis_scaled,
     recover_direction_fns,
-    recover_direction_mnes,
     recover_direction_nes_procA,
     recover_direction_oss,
     select_basis_mwb,
@@ -131,6 +131,9 @@ class IpmParams:
     and attached to the trace). The validated preset ``theta=0.4,
     eta=0.1`` is the default; ``theta=0.7`` is accepted only with the
     override flag since it fails the second condition.
+    ``condition_numbers=True`` records the spectral condition number of
+    every assembled system (one SVD per iteration); off, the records
+    carry ``None``.
     """
 
     theta: float = 0.4
@@ -141,6 +144,7 @@ class IpmParams:
     solver: Callable = field(default_factory=ExactSolver)
     max_iterations: int = 0
     override_parameter_check: bool = False
+    condition_numbers: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
@@ -158,11 +162,14 @@ class IpmParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step: state before, step quality, state after."""
+    """One accepted step: state before, step quality, state after.
+
+    ``kappa_system`` is None unless ``IpmParams.condition_numbers`` is on.
+    """
 
     k: int
     mu: float
-    kappa_system: float
+    kappa_system: Optional[float]
     achieved_residual: float
     in_neighborhood: bool
     primal_inf: float
@@ -178,7 +185,10 @@ class IpmTrace:
 
 @dataclass(frozen=True, eq=False)
 class RefinementState:
-    """Snapshot after one outer refinement loop."""
+    """Snapshot after one outer refinement loop.
+
+    ``max_kappa`` is None unless ``IpmParams.condition_numbers`` is on.
+    """
 
     scale: float
     accumulated: Iterate
@@ -186,7 +196,7 @@ class RefinementState:
     gap: float
     mu: float
     inner_iterations: int
-    max_kappa: float
+    max_kappa: Optional[float]
 
 
 def _solve_target(kind: SystemKind, eta: float, theta: float, it: Iterate,
@@ -199,12 +209,17 @@ def _solve_target(kind: SystemKind, eta: float, theta: float, it: Iterate,
     return base
 
 
+def _max_kappa(trace: IpmTrace, params: IpmParams) -> Optional[float]:
+    if not params.condition_numbers:
+        return None
+    return max((r.kappa_system for r in trace.records), default=0.0)
+
+
 def _recover(system, solution, it, prep, beta):
     kind = system.kind
     if kind in (SystemKind.MNES, SystemKind.PNES):
         r_hat = system.matrix @ solution - system.rhs
-        return recover_direction_mnes(solution, r_hat, it, prep, beta,
-                                      basis=system.basis_used)
+        return recover_direction_basis_scaled(system, solution, r_hat, it, prep.base)
     if kind is SystemKind.NES:
         r = system.matrix @ solution - system.rhs
         return recover_direction_nes_procA(solution, r, it, prep.base, beta)
@@ -281,7 +296,8 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
         records.append(IterationRecord(
             k=k,
             mu=mu,
-            kappa_system=condition_number(system),
+            kappa_system=(condition_number(system) if params.condition_numbers
+                          else None),
             achieved_residual=report.achieved_residual,
             in_neighborhood=inside,
             primal_inf=r_new.primal_inf,
@@ -338,7 +354,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     states = [RefinementState(
         scale=1.0, accumulated=current, loop_index=1, gap=gap,
         mu=gap / lp.n, inner_iterations=len(trace.records),
-        max_kappa=max((r.kappa_system for r in trace.records), default=0.0))]
+        max_kappa=_max_kappa(trace, params))]
 
     while gap / lp.n > zeta:
         if len(states) >= max_loops:
@@ -361,7 +377,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         states.append(RefinementState(
             scale=scale, accumulated=current, loop_index=len(states) + 1,
             gap=gap, mu=gap / lp.n, inner_iterations=len(trace.records),
-            max_kappa=max((r.kappa_system for r in trace.records), default=0.0)))
+            max_kappa=_max_kappa(trace, params)))
         if gap / lp.n > zeta and gap > 2.0 * zeta_hat * prev_gap:
             raise errors.NoProgress(
                 f"loop {len(states)}: gap contracted only {gap / prev_gap:.3e}, "

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .problem import Iterate, LinearProgram, PreprocessedProgram
+from .problem import Iterate, LinearProgram, PreprocessedProgram, nonbasic_indices
 
 __all__ = [
     "SystemKind",
@@ -43,6 +43,7 @@ __all__ = [
     "null_space_basis",
     "select_basis_mwb",
     "recover_direction_mnes",
+    "recover_direction_basis_scaled",
     "recover_direction_nes_procA",
     "recover_direction_oss",
     "recover_direction_fns",
@@ -98,10 +99,12 @@ def system_size(kind: SystemKind, m: int, n: int) -> int:
 class AssembledSystem:
     """One Newton-system formulation: matrix, right-hand side, metadata.
 
-    ``factor_E`` (basis-scaled kinds only) satisfies
-    ``matrix = factor_E @ factor_E.T``; ``basis_used`` records the basis
-    behind it. ``null_basis`` is the cached orthonormal null-space basis
-    carried by OSS assemblies.
+    The basis-scaled kinds also carry what their recovery consumes:
+    ``factor_E`` with ``matrix = factor_E @ factor_E.T``, the basis behind
+    it (``basis_used``, and ``nonbasic`` for the other columns in
+    increasing order), ``basis_inverse``, ``A_hat = basis_inverse @ A``
+    and ``d_B``, the scaling ``sqrt(x/s)`` on the basis. ``null_basis``
+    is the cached orthonormal null-space basis carried by OSS assemblies.
     """
 
     kind: SystemKind
@@ -113,6 +116,10 @@ class AssembledSystem:
     beta: float
     factor_E: Optional[np.ndarray] = None
     basis_used: Optional[tuple] = None
+    nonbasic: Optional[np.ndarray] = None
+    basis_inverse: Optional[np.ndarray] = None
+    A_hat: Optional[np.ndarray] = None
+    d_B: Optional[np.ndarray] = None
     null_basis: Optional[np.ndarray] = None
 
 
@@ -200,21 +207,26 @@ def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
     raise errors.BasisNotFound(f"only {len(chosen)} independent columns found, need {m}")
 
 
-def _basis_products(it: Iterate, prep: PreprocessedProgram, beta: float, basis):
-    """Shared assembly of the basis-scaled normal equations.
+def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
+                    beta: float, basis) -> AssembledSystem:
+    """Assembly of the basis-scaled normal equations.
 
-    Returns (E, matrix, sigma_hat, d, d_B, basis_inverse, basis) where
-    ``matrix = E E^T`` and ``sigma_hat`` is the scaled right-hand side.
+    ``basis=None`` (or the preprocessing basis itself) reuses the fixed
+    preprocessing products; any other basis is inverted here. The
+    scaled right-hand side is built from ``A_hat @ x``, not from
+    ``b_hat``: with it, the solved system gives ``A_hat dx = 0``, so
+    recovery can take ``dx`` on the basis from ``dx`` off it. The
+    ``b_hat`` form would have the step also absorb the iterate's
+    float-level primal infeasibility, which that re-derivation discards.
     """
     lp = prep.base
     d = it.scaling()
     if basis is None or tuple(basis) == prep.basis:
-        basis = prep.basis
-        basis_inverse = prep.basis_inverse
-        A_hat = prep.A_hat
-        b_hat = prep.b_hat
+        basis, nonbasic = prep.basis, prep.nonbasic
+        basis_inverse, A_hat = prep.basis_inverse, prep.A_hat
     else:
         basis = tuple(int(j) for j in basis)
+        nonbasic = nonbasic_indices(basis, lp.n)
         A_B = lp.A[:, list(basis)]
         try:
             basis_inverse = np.linalg.inv(A_B)
@@ -222,18 +234,29 @@ def _basis_products(it: Iterate, prep: PreprocessedProgram, beta: float, basis):
             raise errors.SingularBasis(str(exc)) from exc
         # same residual-correction pass as the fixed preprocessing
         A_hat = basis_inverse @ lp.A
-        b_hat = basis_inverse @ lp.b
         A_hat += basis_inverse @ (lp.A - A_B @ A_hat)
-        b_hat += basis_inverse @ (lp.b - A_B @ b_hat)
     d_B = d[list(basis)]
-    E = (A_hat * d[None, :]) / d_B[:, None]
+    E = A_hat * d
+    E /= d_B[:, None]
     matrix = E @ E.T
     matrix = 0.5 * (matrix + matrix.T)
-    # the b_hat form (rather than A_hat @ x) makes the recovered step
-    # correct any accumulated float-level primal infeasibility, pinning
-    # ||A x - b|| at its per-step generation level over long runs
-    sigma_hat = (b_hat - beta * it.mu * (A_hat @ (1.0 / it.s))) / d_B
-    return E, matrix, sigma_hat, d, d_B, basis_inverse, basis
+    sigma_hat = (A_hat @ it.x - beta * it.mu * (A_hat @ (1.0 / it.s))) / d_B
+    symmetric, positive_definite = SYSTEM_TRAITS[kind]
+    return AssembledSystem(
+        kind=kind,
+        matrix=matrix,
+        rhs=sigma_hat,
+        symmetric=symmetric,
+        positive_definite=positive_definite,
+        mu=it.mu,
+        beta=beta,
+        factor_E=E,
+        basis_used=basis,
+        nonbasic=nonbasic,
+        basis_inverse=basis_inverse,
+        A_hat=A_hat,
+        d_B=d_B,
+    )
 
 
 def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
@@ -243,19 +266,21 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     The matrix and right-hand side follow the defining equations
     literally. MNES uses the fixed preprocessing basis; PNES reselects
     the maximum-weight basis on every call. OSS assemblies carry the
-    (cached) null-space basis. Raises
+    (cached) null-space basis. Symmetric kinds are built as
+    ``0.5 * (M + M.T)`` and so are exactly symmetric. Raises
     :class:`~ifipm.errors.SingularDiagonal` on boundary iterates.
     """
     lp = prep.base
     if not it.is_interior:
         raise errors.SingularDiagonal("assembly needs x > 0 and s > 0")
+    if kind in (SystemKind.MNES, SystemKind.PNES):
+        basis = None if kind is SystemKind.MNES else select_basis_mwb(it, lp.A)
+        return _basis_products(kind, it, prep, beta, basis)
     x, s = it.x, it.s
     mu = it.mu
     m, n = lp.m, lp.n
     A = lp.A
     symmetric, positive_definite = SYSTEM_TRAITS[kind]
-    factor_E = None
-    basis_used = None
     null_basis = None
 
     if kind is SystemKind.FNS:
@@ -283,15 +308,9 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
         matrix = np.hstack([-(x[:, None] * A.T), s[:, None] * V])
         rhs = beta * mu - x * s
         null_basis = V
-    elif kind in (SystemKind.MNES, SystemKind.PNES):
-        basis = None if kind is SystemKind.MNES else select_basis_mwb(it, A)
-        E, matrix, rhs, _, _, _, basis_used = _basis_products(it, prep, beta, basis)
-        factor_E = E
     else:  # pragma: no cover
         raise errors.InputError(f"unhandled system kind {kind}")
 
-    if symmetric and not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12):
-        raise errors.SolveError(f"{kind.name} assembly lost symmetry")
     return AssembledSystem(
         kind=kind,
         matrix=matrix,
@@ -300,8 +319,6 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
         positive_definite=positive_definite,
         mu=mu,
         beta=beta,
-        factor_E=factor_E,
-        basis_used=basis_used,
         null_basis=null_basis,
     )
 
@@ -311,40 +328,61 @@ def recover_direction_mnes(z_tilde: np.ndarray, r_hat: np.ndarray, it: Iterate,
                            basis=None) -> Direction:
     """Direction from a (possibly inexact) basis-scaled normal solve.
 
-    ``r_hat`` must equal ``M_hat z_tilde - sigma_hat``; it is recomputed
-    and cross-checked to 1e-8. The recovery is
-
-        dy = (basis_inverse)^T (z_tilde / d_B)
-        v  = (d_B * r_hat) on the basis positions, 0 elsewhere
-        ds = -A^T dy
-        dx = beta mu / s - x - (x/s) ds - v
-
-    which leaves ``A dx = 0`` exactly and perturbs only the centering row
-    by ``-S v``. (On dual-feasible iterates ``-A^T dy`` equals the
-    infeasibility-restoring form ``c - A^T y - s - A^T dy``; the plain
-    form is used because the restoring variant feeds machine-level dual
-    noise through the ``x/s`` scaling, which grows unbounded near the
-    optimal face.) Passing ``basis`` recovers against a per-iteration
-    basis (the preconditioned variant); the default is the preprocessing
-    basis.
+    ``r_hat`` must equal ``M_hat z_tilde - sigma_hat``; the system is
+    re-assembled, and ``r_hat`` recomputed and cross-checked to 1e-8.
+    Passing ``basis`` recovers against a per-iteration basis (the
+    preconditioned variant); the default is the preprocessing basis.
+    The recovery itself is :func:`recover_direction_basis_scaled`.
     """
-    lp = prep.base
-    _, matrix, sigma_hat, _, d_B, basis_inverse, basis = _basis_products(
-        it, prep, beta, basis)
+    basis_given = basis is not None and tuple(basis) != prep.basis
+    kind = SystemKind.PNES if basis_given else SystemKind.MNES
+    system = _basis_products(kind, it, prep, beta, basis)
+    z_tilde = np.asarray(z_tilde, dtype=float)
     r_hat = np.asarray(r_hat, dtype=float)
-    r_check = matrix @ np.asarray(z_tilde, dtype=float) - sigma_hat
+    r_check = system.matrix @ z_tilde - system.rhs
     if np.linalg.norm(r_check - r_hat, np.inf) > 1e-8 * (1.0 + np.linalg.norm(r_hat, np.inf)):
         raise errors.ResidualMismatch(
             "supplied residual disagrees with recomputation by "
             f"{np.linalg.norm(r_check - r_hat, np.inf):.3e}")
-    dy = basis_inverse.T @ (np.asarray(z_tilde, dtype=float) / d_B)
+    return recover_direction_basis_scaled(system, z_tilde, r_hat, it, prep.base)
+
+
+def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
+                                   r_hat: np.ndarray, it: Iterate,
+                                   lp: LinearProgram) -> Direction:
+    """Direction from an MNES/PNES assembly and a solve of it.
+
+    ``r_hat = system.matrix @ z_tilde - system.rhs`` is taken as given.
+    With ``B``/``N`` the basis and nonbasic positions, the recovery is
+
+        dy    = (basis_inverse)^T (z_tilde / d_B)
+        v     = (d_B * r_hat) on B, 0 on N
+        ds    = -A^T dy
+        dx    = beta mu / s - x - (x/s) ds - v
+        dx[B] = -A_hat[:, N] @ dx[N]
+
+    In exact arithmetic the last line changes nothing: ``A_hat dx = 0``
+    already holds. In floating point the formula's terms on ``B`` are
+    orders of magnitude larger than the result when ``||v||`` is large,
+    and their cancellation would leave ``A dx`` at ``eps * ||v||``;
+    taking ``dx[B]`` from ``dx[N]`` keeps ``A dx`` at the rounding level of
+    ``dx`` itself. The step perturbs only the centering row, by ``-S v``.
+    (On dual-feasible iterates ``-A^T dy`` equals the
+    infeasibility-restoring form ``c - A^T y - s - A^T dy``; the plain
+    form is used because the restoring variant feeds machine-level dual
+    noise through the ``x/s`` scaling, which grows unbounded near the
+    optimal face.)
+    """
+    basis = list(system.basis_used)
+    N = system.nonbasic
+    dy = system.basis_inverse.T @ (z_tilde / system.d_B)
     v = np.zeros(lp.n)
-    v[list(basis)] = d_B * r_hat
+    v[basis] = system.d_B * r_hat
     ds = -lp.A.T @ dy
-    dx = beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
-    kind = SystemKind.MNES if tuple(basis) == prep.basis else SystemKind.PNES
+    dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
+    dx[basis] = -system.A_hat[:, N] @ dx[N]
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
-                     system=kind)
+                     system=system.kind)
 
 
 def proc_a_residual_bound(it: Iterate, lp: LinearProgram, eta: float) -> float:

@@ -120,13 +120,15 @@ class Iterate:
 class PreprocessedProgram:
     """A program together with a fixed basis and its derived products.
 
-    ``basis`` lists m column indices whose submatrix is invertible;
+    ``basis`` lists m column indices whose submatrix is invertible and
+    ``nonbasic`` the remaining n - m in increasing order;
     ``basis_inverse`` is that submatrix's inverse, ``A_hat = basis_inverse @ A``
     (identity on the basis columns) and ``b_hat = basis_inverse @ b``.
     """
 
     base: LinearProgram
     basis: tuple
+    nonbasic: np.ndarray
     basis_inverse: np.ndarray
     A_hat: np.ndarray
     b_hat: np.ndarray
@@ -226,6 +228,13 @@ def _auto_basis(A: np.ndarray) -> list:
     return sorted(int(j) for j in piv[:m])
 
 
+def nonbasic_indices(basis, n: int) -> np.ndarray:
+    """Increasing indices in ``range(n)`` that ``basis`` does not hold."""
+    outside = np.ones(n, dtype=bool)
+    outside[list(basis)] = False
+    return np.flatnonzero(outside)
+
+
 def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     """Fix a basis and precompute its inverse products.
 
@@ -257,6 +266,7 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     return PreprocessedProgram(
         base=lp,
         basis=tuple(basis),
+        nonbasic=nonbasic_indices(basis, lp.n),
         basis_inverse=basis_inverse,
         A_hat=A_hat,
         b_hat=b_hat,

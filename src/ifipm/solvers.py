@@ -89,7 +89,10 @@ def _report(matrix, rhs, solution, iterations, method, norm="two", converged=Tru
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    return M.shape[0] == M.shape[1] and np.allclose(M, M.T, rtol=1e-12, atol=1e-14)
+    # exact equality first: it decides the exactly symmetric assemblies at
+    # a fraction of the cost of the tolerance test
+    return M.shape[0] == M.shape[1] and (
+        np.array_equal(M, M.T) or np.allclose(M, M.T, rtol=1e-12, atol=1e-14))
 
 
 def solve_exact(matrix: np.ndarray, rhs: np.ndarray) -> SolveReport:

@@ -119,16 +119,15 @@ def test_criterion_2_residual_correction_lemma():
 
 
 def test_criterion_3_orthogonality_and_contraction(oracle_runs):
-    # NOTE: the orthogonality half of this criterion is red by analysis,
-    # not by accident. In exact arithmetic the steps are orthogonal to
-    # working precision (verified against a 50-digit solve of the full
-    # system), but in double precision the measured product floors at
-    # about eps * kappa_A on the kappa=1e6 half of the instance mix: the
-    # iterate's representable infeasibility (~1e-11) couples with the
-    # dual step, whose norm exceeds ||ds|| by a factor of kappa_A. Four
-    # evaluation routes and an extended-precision recovery chain all
-    # floor between 1e-8 and 1e-7. The 1e-10 bound is kept as stated;
-    # see the decisions ledger for the full record.
+    # NOTE: with ds = -A^T dy, dx.ds = -(A dx).dy: the measured product
+    # is the step's primal drift seen through the dual step, whose norm
+    # exceeds ||ds|| by up to kappa_A. The drift once floored at
+    # eps * ||v||, because recovery evaluated dx on the basis positions
+    # as a sum of terms orders of magnitude larger than the result, and
+    # the kappa=1e6 half of the mix read 5.94e-7. Recovery now takes dx
+    # on the basis from dx off it, so A dx sits at the rounding of dx
+    # itself. The 1e-10 bound is the stated one and was never changed;
+    # the full record is in the decisions ledger, DECISIONS.md.
     worst_dot = 0.0
     worst_dot_moderate = 0.0
     ratio_ok = True

@@ -69,6 +69,25 @@ def test_solve_with_refinement_writes_loop_summary(tmp_path):
     assert out.with_suffix(".loops.csv").exists()
 
 
+@pytest.mark.parametrize("extra, suffix, column", [
+    ([], ".trace.csv", "kappa_system"),
+    (["--zeta-hat", 1e-2], ".loops.csv", "max_kappa"),
+])
+def test_solve_writes_condition_numbers_bit_identically(tmp_path, extra, suffix, column):
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 3, "--n", 8, "--seed", 3, "--out", inst)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run("solve", "--instance", inst, "--zeta", 1e-6, *extra, "--out", out) == 0
+    tables = [out.with_suffix(suffix) for out in outs]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert tables[0].read_bytes() == tables[1].read_bytes()
+    lines = tables[0].read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    kappas = [float(line.split(",")[index]) for line in lines[1:]]
+    assert kappas and all(np.isfinite(k) and k >= 1.0 for k in kappas)
+
+
 def test_malformed_json_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -160,6 +179,8 @@ def test_batch_deterministic_and_isolated(tmp_path):
     lines = out1.read_text().splitlines()
     assert lines[0].startswith("instance,seed,solved,")
     assert lines[-1].startswith("aggregate,")
+    max_kappa = [float(line.split(",")[6]) for line in lines[1:]]
+    assert all(np.isfinite(k) and k >= 1.0 for k in max_kappa)
 
 
 def test_instance_json_round_trips_bit_exactly(tmp_path):

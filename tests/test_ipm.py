@@ -202,3 +202,40 @@ def test_refinement_scale_equivalence():
         np.testing.assert_allclose(b.s, scale * a.s, rtol=1e-9)
         np.testing.assert_allclose(b.y, scale * a.y, rtol=1e-9, atol=1e-12)
         assert in_neighborhood(a, 0.4) == in_neighborhood(b, 0.4)
+
+
+@pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
+def test_one_basis_assembly_per_iteration(kind, monkeypatch):
+    from ifipm import newton
+
+    calls = []
+    original = newton._basis_products
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "_basis_products", counted)
+    inst = generate(GeneratorSpec(m=5, n=11, seed=7))
+    _, trace = if_ipm(preprocess(inst.lp), inst.start, IpmParams(zeta=1e-3, system=kind))
+    assert len(calls) == len(trace.records) > 0
+
+
+def test_condition_numbers_are_opt_in(monkeypatch):
+    from ifipm import ipm
+
+    calls = []
+    monkeypatch.setattr(ipm, "condition_number",
+                        lambda system: calls.append(system.kind) or 1.0)
+    inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
+    prep = preprocess(inst.lp)
+    _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-3))
+    _, states = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
+                          params=IpmParams())
+    assert calls == []
+    assert all(rec.kappa_system is None for rec in trace.records)
+    assert all(st.max_kappa is None for st in states)
+
+    _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-3, condition_numbers=True))
+    assert len(calls) == len(trace.records)
+    assert all(rec.kappa_system == 1.0 for rec in trace.records)

@@ -1,5 +1,8 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifipm import (
     GeneratorSpec,
@@ -163,6 +166,45 @@ def test_mnes_exact_matches_dense_full_system(central_instance):
         assert np.linalg.norm(direction.dx - dx) <= 1e-8 * scale
         assert np.linalg.norm(direction.dy - dy) <= 1e-8 * scale
         assert np.linalg.norm(direction.ds - ds) <= 1e-8 * scale
+
+
+@cache
+def _recovery_instances():
+    """Well and ill-conditioned programs, with and without degeneracy."""
+    specs = [GeneratorSpec(m=6, n=14, kappa_target=kappa, mode="known-optimal",
+                           degenerate=degenerate, seed=3 + i)
+             for i, (kappa, degenerate) in enumerate(
+                 [(10.0, False), (1e6, False), (100.0, True), (1e6, True)])]
+    programs = [generate(spec).lp for spec in specs]
+    return [(lp, preprocess(lp)) for lp in programs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 3), kind=st.sampled_from([SystemKind.MNES, SystemKind.PNES]),
+       log_mu=st.floats(-10.0, 0.0), log_residual=st.floats(-3.0, 3.0),
+       log_spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_recovered_step_stays_in_null_space(index, kind, log_mu, log_residual,
+                                            log_spread, seed):
+    # A dx = 0 up to the rounding of dx itself, however large the injected
+    # residual and with it the correction v = D_B r_hat
+    lp, prep = _recovery_instances()[index]
+    rng = np.random.default_rng(seed)
+    mu = 10.0 ** log_mu
+    x = rng.uniform(0.2, 3.0, lp.n) * 10.0 ** rng.uniform(-log_spread, log_spread, lp.n)
+    deviation = rng.standard_normal(lp.n)
+    deviation -= deviation.mean()
+    deviation *= 0.4 * mu * rng.uniform() / np.linalg.norm(deviation)
+    it = Iterate(x, rng.standard_normal(lp.m), (mu + deviation) / x)
+    sys = assemble(kind, it, prep, beta=0.9)
+    r_hat = rng.standard_normal(lp.m)
+    r_hat *= 10.0 ** log_residual * 0.1 * np.sqrt(mu) / np.linalg.norm(r_hat)
+    z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
+    d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, 0.9,
+                               basis=sys.basis_used)
+    eps = np.finfo(float).eps
+    bound = 4.0 * eps * np.linalg.norm(lp.A, np.inf) * (
+        np.linalg.norm(it.x, np.inf) + np.linalg.norm(d.dx, np.inf))
+    assert np.linalg.norm(lp.A @ d.dx, np.inf) <= bound
 
 
 def test_mnes_centered_zero_direction(central_instance):
