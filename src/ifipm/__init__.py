@@ -30,12 +30,9 @@ from .problem import (
     LinearProgram,
     PreprocessedProgram,
     ResidualReport,
-    binary_length,
-    canonical_reformulate,
     in_neighborhood,
     preprocess,
     residuals,
-    validate,
 )
 from .generator import GeneratedInstance, GeneratorSpec, certify, generate
 from .newton import (

@@ -24,7 +24,7 @@ from .generator import GeneratorSpec, certify, generate
 from .io import load_instance, save_instance
 from .ipm import IpmParams, if_ipm, ir_if_ipm
 from .newton import SystemKind, assemble, condition_number
-from .problem import preprocess, residuals
+from .problem import Iterate, preprocess, residuals
 from .solvers import CgSolver, ExactSolver, OracleSolver, PcgSolver, RefiningSolver
 
 __all__ = ["main", "ConditionTrace", "slope_fit", "read_condition_trace",
@@ -138,16 +138,24 @@ def _spec_from_args(args, seed) -> GeneratorSpec:
                          degenerate=args.degenerate, mode=args.mode, seed=seed)
 
 
-def _obtain_instance(args):
-    """Returns (lp, start, basis) from --instance or the generator flags."""
-    if getattr(args, "instance", None):
-        loaded = load_instance(args.instance[0])
+def _obtain_instance(args, path=None, seed=None):
+    """(lp, start, basis) from the instance file ``path``, else generated from ``seed``."""
+    if path is not None:
+        loaded = load_instance(path)
         if loaded.interior is None:
-            raise errors.InputError(
-                f"{args.instance[0]}: no 'interior' start stored in the instance")
+            raise errors.InputError(f"{path}: no 'interior' start stored in the instance")
         return loaded.lp, loaded.interior, loaded.basis
-    inst = generate(_spec_from_args(args, args.seed))
+    inst = generate(_spec_from_args(args, seed))
     return inst.lp, inst.start, None
+
+
+def _single_instance(args):
+    """The one instance of ``solve``/``trace``: --instance, else the generator flags."""
+    paths = args.instance or []
+    if len(paths) > 1:
+        raise errors.InputError(
+            f"{args.command} takes one --instance, got {len(paths)}; use batch for several")
+    return _obtain_instance(args, path=paths[0] if paths else None, seed=args.seed)
 
 
 def _solver_from_args(args):
@@ -165,11 +173,39 @@ def _solver_from_args(args):
     raise errors.InputError(f"unknown solver {name!r}")
 
 
+def _system_from_args(args) -> SystemKind:
+    return SystemKind.parse(args.system[0] if args.system else "mnes")
+
+
 def _params_from_args(args, system: SystemKind,
                       condition_numbers: bool = False) -> IpmParams:
     return IpmParams(theta=args.theta, eta=args.eta, zeta=args.zeta,
                      system=system, solver=_solver_from_args(args),
                      condition_numbers=condition_numbers)
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """One ``if_ipm`` run (``records``) or ``ir_if_ipm`` run (``states``)."""
+
+    final: Iterate
+    iterations: int
+    loops: int
+    max_kappa: Optional[float]
+    records: tuple = ()
+    states: tuple = ()
+
+
+def _run(args, lp, start, basis) -> _Run:
+    """Solve with condition numbers on; refinement when --zeta-hat is given."""
+    params = _params_from_args(args, _system_from_args(args), condition_numbers=True)
+    if args.zeta_hat is not None:
+        final, states = ir_if_ipm(lp, start, zeta=args.zeta, zeta_hat=args.zeta_hat,
+                                  params=params, basis=basis)
+        return _Run(final, sum(st.inner_iterations for st in states), len(states),
+                    max(st.max_kappa for st in states), states=tuple(states))
+    final, trace = if_ipm(preprocess(lp, basis), start, params)
+    return _Run(final, len(trace.records), 0, trace.max_kappa, records=trace.records)
 
 
 def cmd_generate(args) -> int:
@@ -190,33 +226,27 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    lp, start, basis = _obtain_instance(args)
-    system = SystemKind.parse(args.system[0] if args.system else "mnes")
-    params = _params_from_args(args, system, condition_numbers=True)
+    lp, start, basis = _single_instance(args)
+    run = _run(args, lp, start, basis)
     out = Path(args.out)
-    payload = {"system": system.value, "solver": args.solver}
+    payload = {"system": _system_from_args(args).value, "solver": args.solver}
     if args.zeta_hat is not None:
-        final, states = ir_if_ipm(lp, start, zeta=args.zeta, zeta_hat=args.zeta_hat,
-                                  params=params, basis=basis)
-        payload["loops"] = len(states)
-        payload["iterations"] = sum(st.inner_iterations for st in states)
+        payload["loops"] = run.loops
         loop_rows = [[st.loop_index, st.scale, st.gap, st.mu,
-                      st.inner_iterations, st.max_kappa] for st in states]
+                      st.inner_iterations, st.max_kappa] for st in run.states]
         _write_csv(out.with_suffix(".loops.csv"),
                    ["loop", "scale", "gap", "mu", "inner_iterations", "max_kappa"],
                    loop_rows)
     else:
-        prep = preprocess(lp, basis)
-        final, trace = if_ipm(prep, start, params)
-        payload["iterations"] = len(trace.records)
         rows = [[r.k, r.mu, r.kappa_system, r.achieved_residual, r.in_neighborhood,
-                 r.primal_inf, r.dual_inf, r.mu_ratio] for r in trace.records]
+                 r.primal_inf, r.dual_inf, r.mu_ratio] for r in run.records]
         _write_csv(out.with_suffix(".trace.csv"),
                    ["k", "mu", "kappa_system", "achieved_residual", "in_neighborhood",
                     "primal_inf", "dual_inf", "mu_ratio"], rows)
-    rep = residuals(lp, final)
+    payload["iterations"] = run.iterations
+    rep = residuals(lp, run.final)
     payload.update({
-        "x": final.x.tolist(), "y": final.y.tolist(), "s": final.s.tolist(),
+        "x": run.final.x.tolist(), "y": run.final.y.tolist(), "s": run.final.s.tolist(),
         "mu": rep.mu, "gap": rep.gap,
         "primal_inf": rep.primal_inf, "dual_inf": rep.dual_inf,
     })
@@ -226,7 +256,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    lp, start, basis = _obtain_instance(args)
+    lp, start, basis = _single_instance(args)
     requested = [SystemKind.parse(name) for name in (args.system or [])]
     if not requested:
         requested = list(TRACE_KINDS)
@@ -254,45 +284,21 @@ def cmd_trace(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    sources = []
     if args.instance:
-        sources.extend(("file", path) for path in args.instance)
+        sources = [(str(path), path, None) for path in args.instance]
     else:
-        for i in range(args.count):
-            sources.append(("seed", args.seed + i))
+        sources = [(f"seed-{seed}", None, seed)
+                   for seed in range(args.seed, args.seed + args.count)]
     rows = []
     solved_gaps = []
-    for label, source in sources:
-        seed = source if label == "seed" else ""
-        name = f"seed-{source}" if label == "seed" else str(source)
+    for name, path, seed in sources:  # seed None leaves the seed cell empty
         t0 = time.perf_counter()
         try:
-            if label == "seed":
-                inst = generate(_spec_from_args(args, source))
-                lp, start, basis = inst.lp, inst.start, None
-            else:
-                loaded = load_instance(source)
-                if loaded.interior is None:
-                    raise errors.InputError(f"{source}: no interior start")
-                lp, start, basis = loaded.lp, loaded.interior, loaded.basis
-            system = SystemKind.parse(args.system[0] if args.system else "mnes")
-            params = _params_from_args(args, system, condition_numbers=True)
-            if args.zeta_hat is not None:
-                final, states = ir_if_ipm(lp, start, zeta=args.zeta,
-                                          zeta_hat=args.zeta_hat, params=params,
-                                          basis=basis)
-                iterations = sum(st.inner_iterations for st in states)
-                loops = len(states)
-                max_kappa = max(st.max_kappa for st in states)
-            else:
-                prep = preprocess(lp, basis)
-                final, trace = if_ipm(prep, start, params)
-                iterations = len(trace.records)
-                loops = 0
-                max_kappa = max((r.kappa_system for r in trace.records), default=0.0)
-            gap = float(final.x @ final.s)
+            run = _run(args, *_obtain_instance(args, path, seed))
+            gap = float(run.final.x @ run.final.s)
             wall = time.perf_counter() - t0 if args.timing else 0.0
-            rows.append([name, seed, True, iterations, loops, gap, max_kappa, wall])
+            rows.append([name, seed, True, run.iterations, run.loops, gap,
+                         run.max_kappa, wall])
             solved_gaps.append(gap)
         except errors.IfipmError as exc:
             wall = time.perf_counter() - t0 if args.timing else 0.0

@@ -85,7 +85,7 @@ def save_instance(path, source, **extras) -> None:
 
 
 def load_instance(path) -> LoadedInstance:
-    """Read and validate an instance file; raises InputError on bad data."""
+    """Read and check an instance file; raises InputError on bad data."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -116,6 +116,11 @@ def load_instance(path) -> LoadedInstance:
                          tuple(payload["partition"]["N"]))
         except (KeyError, TypeError) as exc:
             raise errors.InputError(f"{path}: malformed partition block") from exc
-    basis = tuple(payload["basis"]) if "basis" in payload else None
+    basis = payload.get("basis")
+    if basis is not None:
+        if not (isinstance(basis, list) and all(
+                isinstance(j, int) and not isinstance(j, bool) for j in basis)):
+            raise errors.InputError(f"{path}: 'basis' must be a list of integers")
+        basis = tuple(basis)
     return LoadedInstance(lp=lp, interior=interior, optimal=optimal,
                           partition=partition, basis=basis)

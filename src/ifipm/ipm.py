@@ -13,6 +13,9 @@ corrected step convergent:
 * FNS/AS: the basis-scaled target (no correction exists for them, so
   they are only safe with near-exact solvers).
 
+Each kind's target, assembly and recovery are its record in
+:data:`ifipm.newton.FORMULATIONS`.
+
 The outer driver re-solves a scaled residual instance per loop: with
 ``scale = 1 / (x.s)`` the subproblem ``(A, scale*b, scale*s)`` warm-started
 at ``(scale*x, 0, scale*s)`` is the nonnegative-variable equivalent of
@@ -34,13 +37,9 @@ from .newton import (
     SystemKind,
     assemble,
     condition_number,
-    proc_a_residual_bound,
-    recover_direction_as,
-    recover_direction_basis_scaled,
-    recover_direction_fns,
-    recover_direction_nes_procA,
-    recover_direction_oss,
+    recover_direction,
     select_basis_mwb,
+    solve_target,
 )
 from .problem import (
     Iterate,
@@ -59,7 +58,6 @@ __all__ = [
     "RefinementState",
     "ParameterCheck",
     "check_parameters",
-    "exact_termination_threshold",
     "if_ipm",
     "ir_if_ipm",
 ]
@@ -78,20 +76,6 @@ class ParameterCheck:
     con1_rhs: float
     con2_lhs: float
     con2_rhs: float
-
-
-def exact_termination_threshold(lp: LinearProgram, slope: float = 1.0) -> float:
-    """Duality-measure level ``2**(-slope * L)`` for exact-solution rounding.
-
-    ``L`` is the instance bit-length measure. Below this level an exact
-    rational optimum could in principle be recovered by rounding; the
-    rounding procedure itself is out of scope, and for all but the
-    smallest integer instances the threshold underflows double
-    precision, so this is exposed for completeness rather than use.
-    """
-    from .problem import binary_length
-
-    return 2.0 ** (-slope * binary_length(lp))
 
 
 def check_parameters(n: int, theta: float, eta: float, beta: float):
@@ -128,8 +112,8 @@ class IpmParams:
 
     ``override_parameter_check=True`` lets a run proceed with parameters
     that fail :func:`check_parameters` (the verdict is still evaluated
-    and attached to the trace). The validated preset ``theta=0.4,
-    eta=0.1`` is the default; ``theta=0.7`` is accepted only with the
+    and attached to the trace). The default ``theta=0.4, eta=0.1``
+    passes both conditions; ``theta=0.7`` is accepted only with the
     override flag since it fails the second condition.
     ``condition_numbers=True`` records the spectral condition number of
     every assembled system (one SVD per iteration); off, the records
@@ -179,8 +163,15 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class IpmTrace:
+    """Records of one run.
+
+    ``max_kappa`` is the largest ``kappa_system`` over the records (0.0
+    for none), or None unless ``IpmParams.condition_numbers`` is on.
+    """
+
     records: tuple
     parameter_check: ParameterCheck
+    max_kappa: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,37 +190,10 @@ class RefinementState:
     max_kappa: Optional[float]
 
 
-def _solve_target(kind: SystemKind, eta: float, theta: float, it: Iterate,
-                  lp: LinearProgram) -> float:
-    base = eta / math.sqrt(1.0 + theta) * math.sqrt(it.mu)
-    if kind is SystemKind.OSS:
-        return eta * it.mu
-    if kind is SystemKind.NES:
-        return min(base, proc_a_residual_bound(it, lp, eta))
-    return base
-
-
-def _max_kappa(trace: IpmTrace, params: IpmParams) -> Optional[float]:
-    if not params.condition_numbers:
-        return None
-    return max((r.kappa_system for r in trace.records), default=0.0)
-
-
-def _recover(system, solution, it, prep, beta):
-    kind = system.kind
-    if kind in (SystemKind.MNES, SystemKind.PNES):
-        r_hat = system.matrix @ solution - system.rhs
-        return recover_direction_basis_scaled(system, solution, r_hat, it, prep.base)
-    if kind is SystemKind.NES:
-        r = system.matrix @ solution - system.rhs
-        return recover_direction_nes_procA(solution, r, it, prep.base, beta)
-    if kind is SystemKind.OSS:
-        m = prep.base.m
-        return recover_direction_oss(solution[:m], solution[m:], it, prep.base,
-                                     system.null_basis)
-    if kind is SystemKind.FNS:
-        return recover_direction_fns(solution, it, prep.base)
-    return recover_direction_as(solution, it, prep.base, beta)
+def _trace(records: list, pcheck: ParameterCheck, params: IpmParams) -> IpmTrace:
+    max_kappa = (max((r.kappa_system for r in records), default=0.0)
+                 if params.condition_numbers else None)
+    return IpmTrace(tuple(records), pcheck, max_kappa)
 
 
 def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
@@ -276,19 +240,19 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     for k in range(max_it + 1):
         mu = it.mu
         if mu <= params.zeta:
-            return it, IpmTrace(tuple(records), pcheck)
+            return it, _trace(records, pcheck, params)
         if k == max_it:
             raise errors.MaxIterations(
                 f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations",
-                iterate=it, trace=IpmTrace(tuple(records), pcheck))
+                iterate=it, trace=_trace(records, pcheck, params))
         system = assemble(params.system, it, prep, beta)
-        target = _solve_target(params.system, params.eta, params.theta, it, lp)
+        target = solve_target(params.system, it, prep, params.eta, params.theta)
         report = params.solver(system.matrix, system.rhs, target)
         if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
             raise errors.SolverFailure(
                 f"iteration {k}: residual {report.achieved_residual:.3e} "
                 f"misses target {target:.3e} ({report.method})")
-        direction = _recover(system, report.solution, it, prep, beta)
+        direction = recover_direction(system, report.solution, it, prep)
         new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
                          it.s + direction.ds)
         r_new = residuals(lp, new_it)
@@ -354,7 +318,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     states = [RefinementState(
         scale=1.0, accumulated=current, loop_index=1, gap=gap,
         mu=gap / lp.n, inner_iterations=len(trace.records),
-        max_kappa=_max_kappa(trace, params))]
+        max_kappa=trace.max_kappa)]
 
     while gap / lp.n > zeta:
         if len(states) >= max_loops:
@@ -377,7 +341,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         states.append(RefinementState(
             scale=scale, accumulated=current, loop_index=len(states) + 1,
             gap=gap, mu=gap / lp.n, inner_iterations=len(trace.records),
-            max_kappa=_max_kappa(trace, params)))
+            max_kappa=trace.max_kappa))
         if gap / lp.n > zeta and gap > 2.0 * zeta_hat * prev_gap:
             raise errors.NoProgress(
                 f"loop {len(states)}: gap contracted only {gap / prev_gap:.3e}, "

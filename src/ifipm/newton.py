@@ -19,15 +19,21 @@ every call from the maximum-weight basis of the current iterate, which
 acts as a preconditioner. For both, an inexact solve with residual
 ``r_hat`` is repaired into an exactly primal-feasible direction by the
 basis-supported correction ``v = (D_B r_hat, 0)``.
+
+Each kind is one :class:`Formulation` record in :data:`FORMULATIONS`:
+its flags and size, its assembly, the residual target its solve must
+meet and the recovery of a direction from that solve. The loop reaches
+them through :func:`assemble`, :func:`solve_target` and
+:func:`recover_direction`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import weakref
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,10 +42,14 @@ from .problem import Iterate, LinearProgram, PreprocessedProgram, nonbasic_indic
 
 __all__ = [
     "SystemKind",
+    "Formulation",
+    "FORMULATIONS",
     "AssembledSystem",
     "Direction",
     "DirectionReport",
     "assemble",
+    "solve_target",
+    "recover_direction",
     "null_space_basis",
     "select_basis_mwb",
     "recover_direction_mnes",
@@ -73,26 +83,26 @@ class SystemKind(enum.Enum):
             raise errors.InputError(f"unknown system kind {name!r}") from None
 
 
-#: (symmetric, positive_definite) per formulation
-SYSTEM_TRAITS = {
-    SystemKind.FNS: (False, False),
-    SystemKind.AS: (True, False),
-    SystemKind.NES: (True, True),
-    SystemKind.OSS: (False, False),
-    SystemKind.MNES: (True, True),
-    SystemKind.PNES: (True, True),
-}
+@dataclass(frozen=True)
+class Formulation:
+    """Everything the loop knows about one Newton-system kind.
 
+    :data:`FORMULATIONS` holds one record per kind. ``size(m, n)`` is the
+    system dimension. ``build(kind, it, prep, beta)`` assembles the
+    system, ``target(it, prep, eta, theta)`` is the absolute residual its
+    solve must meet, and ``recover(system, solution, it, prep)`` turns
+    that solve into a :class:`Direction`. The entries call
+    ``_basis_products``, :func:`select_basis_mwb` and the
+    ``recover_direction_*`` functions by module-global name at call time,
+    so a replaced module attribute is the one that runs.
+    """
 
-def system_size(kind: SystemKind, m: int, n: int) -> int:
-    return {
-        SystemKind.FNS: 2 * n + m,
-        SystemKind.AS: n + m,
-        SystemKind.NES: m,
-        SystemKind.OSS: n,
-        SystemKind.MNES: m,
-        SystemKind.PNES: m,
-    }[kind]
+    symmetric: bool
+    positive_definite: bool
+    size: Callable
+    build: Callable
+    target: Callable
+    recover: Callable
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +113,13 @@ class AssembledSystem:
     ``factor_E`` with ``matrix = factor_E @ factor_E.T``, the basis behind
     it (``basis_used``, and ``nonbasic`` for the other columns in
     increasing order), ``basis_inverse``, ``A_hat = basis_inverse @ A``
-    and ``d_B``, the scaling ``sqrt(x/s)`` on the basis. ``null_basis``
-    is the cached orthonormal null-space basis carried by OSS assemblies.
+    and ``d_B``, the scaling ``sqrt(x/s)`` on the basis. The
+    symmetry flags are those of the kind's :class:`Formulation`.
     """
 
     kind: SystemKind
     matrix: np.ndarray
     rhs: np.ndarray
-    symmetric: bool
-    positive_definite: bool
     mu: float
     beta: float
     factor_E: Optional[np.ndarray] = None
@@ -120,7 +128,14 @@ class AssembledSystem:
     basis_inverse: Optional[np.ndarray] = None
     A_hat: Optional[np.ndarray] = None
     d_B: Optional[np.ndarray] = None
-    null_basis: Optional[np.ndarray] = None
+
+    @property
+    def symmetric(self) -> bool:
+        return FORMULATIONS[self.kind].symmetric
+
+    @property
+    def positive_definite(self) -> bool:
+        return FORMULATIONS[self.kind].positive_definite
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,23 +171,12 @@ class DirectionReport:
     mu: float
 
 
-_null_basis_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def null_space_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis V of the null space of A, shape n x (n - m)."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     _, _, vh = np.linalg.svd(A, full_matrices=True)
     return vh[m:].T.copy()
-
-
-def _cached_null_basis(prep: PreprocessedProgram) -> np.ndarray:
-    V = _null_basis_cache.get(prep)
-    if V is None:
-        V = null_space_basis(prep.base.A)
-        _null_basis_cache[prep] = V
-    return V
 
 
 def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
@@ -214,9 +218,9 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     ``basis=None`` (or the preprocessing basis itself) reuses the fixed
     preprocessing products; any other basis is inverted here. The
     scaled right-hand side is built from ``A_hat @ x``, not from
-    ``b_hat``: with it, the solved system gives ``A_hat dx = 0``, so
-    recovery can take ``dx`` on the basis from ``dx`` off it. The
-    ``b_hat`` form would have the step also absorb the iterate's
+    ``basis_inverse @ b``: with it, the solved system gives
+    ``A_hat dx = 0``, so recovery can take ``dx`` on the basis from ``dx``
+    off it. The ``b`` form would have the step also absorb the iterate's
     float-level primal infeasibility, which that re-derivation discards.
     """
     lp = prep.base
@@ -241,13 +245,10 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     matrix = E @ E.T
     matrix = 0.5 * (matrix + matrix.T)
     sigma_hat = (A_hat @ it.x - beta * it.mu * (A_hat @ (1.0 / it.s))) / d_B
-    symmetric, positive_definite = SYSTEM_TRAITS[kind]
     return AssembledSystem(
         kind=kind,
         matrix=matrix,
         rhs=sigma_hat,
-        symmetric=symmetric,
-        positive_definite=positive_definite,
         mu=it.mu,
         beta=beta,
         factor_E=E,
@@ -259,68 +260,73 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     )
 
 
+def _assemble_fns(kind, it, prep, beta) -> AssembledSystem:
+    A, x, s = prep.base.A, it.x, it.s
+    m, n = A.shape
+    matrix = np.block([
+        [np.zeros((m, m)), A, np.zeros((m, n))],
+        [A.T, np.zeros((n, n)), np.eye(n)],
+        [np.zeros((n, m)), np.diag(s), np.diag(x)],
+    ])
+    rhs = np.concatenate([np.zeros(m + n), beta * it.mu - x * s])
+    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+
+
+def _assemble_as(kind, it, prep, beta) -> AssembledSystem:
+    A, x, s = prep.base.A, it.x, it.s
+    m, n = A.shape
+    d2 = x / s
+    matrix = np.block([
+        [np.zeros((m, m)), A],
+        [A.T, -np.diag(1.0 / d2)],
+    ])
+    matrix = 0.5 * (matrix + matrix.T)
+    rhs = np.concatenate([np.zeros(m), s - beta * it.mu / x])
+    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+
+
+def _assemble_nes(kind, it, prep, beta) -> AssembledSystem:
+    A, x, s = prep.base.A, it.x, it.s
+    d2 = x / s
+    matrix = (A * d2[None, :]) @ A.T
+    matrix = 0.5 * (matrix + matrix.T)
+    rhs = A @ x - beta * it.mu * (A @ (1.0 / s))
+    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+
+
+def _assemble_oss(kind, it, prep, beta) -> AssembledSystem:
+    A, x, s = prep.base.A, it.x, it.s
+    matrix = np.hstack([-(x[:, None] * A.T), s[:, None] * prep.null_basis])
+    rhs = beta * it.mu - x * s
+    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+
+
 def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
              beta: float) -> AssembledSystem:
     """Build the requested formulation at the given iterate.
 
     The matrix and right-hand side follow the defining equations
     literally. MNES uses the fixed preprocessing basis; PNES reselects
-    the maximum-weight basis on every call. OSS assemblies carry the
-    (cached) null-space basis. Symmetric kinds are built as
-    ``0.5 * (M + M.T)`` and so are exactly symmetric. Raises
+    the maximum-weight basis on every call. OSS uses the program's
+    null-space basis. Symmetric kinds are built as ``0.5 * (M + M.T)``
+    and so are exactly symmetric. Raises
     :class:`~ifipm.errors.SingularDiagonal` on boundary iterates.
     """
-    lp = prep.base
     if not it.is_interior:
         raise errors.SingularDiagonal("assembly needs x > 0 and s > 0")
-    if kind in (SystemKind.MNES, SystemKind.PNES):
-        basis = None if kind is SystemKind.MNES else select_basis_mwb(it, lp.A)
-        return _basis_products(kind, it, prep, beta, basis)
-    x, s = it.x, it.s
-    mu = it.mu
-    m, n = lp.m, lp.n
-    A = lp.A
-    symmetric, positive_definite = SYSTEM_TRAITS[kind]
-    null_basis = None
+    return FORMULATIONS[kind].build(kind, it, prep, beta)
 
-    if kind is SystemKind.FNS:
-        matrix = np.block([
-            [np.zeros((m, m)), A, np.zeros((m, n))],
-            [A.T, np.zeros((n, n)), np.eye(n)],
-            [np.zeros((n, m)), np.diag(s), np.diag(x)],
-        ])
-        rhs = np.concatenate([np.zeros(m + n), beta * mu - x * s])
-    elif kind is SystemKind.AS:
-        d2 = x / s
-        matrix = np.block([
-            [np.zeros((m, m)), A],
-            [A.T, -np.diag(1.0 / d2)],
-        ])
-        matrix = 0.5 * (matrix + matrix.T)
-        rhs = np.concatenate([np.zeros(m), s - beta * mu / x])
-    elif kind is SystemKind.NES:
-        d2 = x / s
-        matrix = (A * d2[None, :]) @ A.T
-        matrix = 0.5 * (matrix + matrix.T)
-        rhs = A @ x - beta * mu * (A @ (1.0 / s))
-    elif kind is SystemKind.OSS:
-        V = _cached_null_basis(prep)
-        matrix = np.hstack([-(x[:, None] * A.T), s[:, None] * V])
-        rhs = beta * mu - x * s
-        null_basis = V
-    else:  # pragma: no cover
-        raise errors.InputError(f"unhandled system kind {kind}")
 
-    return AssembledSystem(
-        kind=kind,
-        matrix=matrix,
-        rhs=rhs,
-        symmetric=symmetric,
-        positive_definite=positive_definite,
-        mu=mu,
-        beta=beta,
-        null_basis=null_basis,
-    )
+def solve_target(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
+                 eta: float, theta: float) -> float:
+    """Absolute residual the solve of a ``kind`` system must meet at ``it``."""
+    return FORMULATIONS[kind].target(it, prep, eta, theta)
+
+
+def recover_direction(system: AssembledSystem, solution: np.ndarray, it: Iterate,
+                      prep: PreprocessedProgram) -> Direction:
+    """Direction from an assembly and a solve of it, by the kind's recovery."""
+    return FORMULATIONS[system.kind].recover(system, solution, it, prep)
 
 
 def recover_direction_mnes(z_tilde: np.ndarray, r_hat: np.ndarray, it: Iterate,
@@ -385,19 +391,18 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
                      system=system.kind)
 
 
-def proc_a_residual_bound(it: Iterate, lp: LinearProgram, eta: float) -> float:
+def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram, eta: float) -> float:
     """Admissible normal-equation residual for the pseudoinverse correction.
 
     ``eta * mu / (||s||_inf * sigma_max(A))`` — the level below which the
     dense correction keeps ``||S v||_inf <= eta * mu``. Often impractically
     small, which is what motivates the basis-supported correction.
     """
-    sigma_max = float(np.linalg.norm(lp.A, 2))
-    return eta * it.mu / (float(np.linalg.norm(it.s, np.inf)) * sigma_max)
+    return eta * it.mu / (float(np.linalg.norm(it.s, np.inf)) * prep.A_norm)
 
 
 def recover_direction_nes_procA(dy_inexact: np.ndarray, r: np.ndarray, it: Iterate,
-                                lp: LinearProgram, beta: float) -> Direction:
+                                prep: PreprocessedProgram, beta: float) -> Direction:
     """Direction from an inexact plain normal-equation solve.
 
     The primal drift ``A dx = r`` is repaired with the dense minimum-norm
@@ -405,9 +410,9 @@ def recover_direction_nes_procA(dy_inexact: np.ndarray, r: np.ndarray, it: Itera
     """
     from .solvers import solve_exact
 
+    lp = prep.base
     r = np.asarray(r, dtype=float)
-    gram = lp.A @ lp.A.T
-    u = solve_exact(gram, r).solution
+    u = solve_exact(prep.gram, r).solution
     v = lp.A.T @ u
     dy = np.asarray(dy_inexact, dtype=float)
     ds = -lp.A.T @ dy
@@ -451,6 +456,60 @@ def recover_direction_as(solution: np.ndarray, it: Iterate, lp: LinearProgram,
     ds = (beta * it.mu - it.x * it.s - it.s * dx) / it.x
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=np.zeros(m),
                      correction_v=np.zeros(n), system=SystemKind.AS)
+
+
+def _base_target(it, prep, eta, theta) -> float:
+    # the stricter 2-norm form of the basis-scaled admissibility level
+    return eta / math.sqrt(1.0 + theta) * math.sqrt(it.mu)
+
+
+def _nes_target(it, prep, eta, theta) -> float:
+    return min(_base_target(it, prep, eta, theta), proc_a_residual_bound(it, prep, eta))
+
+
+def _oss_target(it, prep, eta, theta) -> float:
+    # the solve residual lands in the centering row, which must meet eta mu
+    return eta * it.mu
+
+
+def _basis_scaled_direction(system, solution, it, prep) -> Direction:
+    r_hat = system.matrix @ solution - system.rhs
+    return recover_direction_basis_scaled(system, solution, r_hat, it, prep.base)
+
+
+def _nes_direction(system, solution, it, prep) -> Direction:
+    r = system.matrix @ solution - system.rhs
+    return recover_direction_nes_procA(solution, r, it, prep, system.beta)
+
+
+def _oss_direction(system, solution, it, prep) -> Direction:
+    m = prep.base.m
+    return recover_direction_oss(solution[:m], solution[m:], it, prep.base,
+                                 prep.null_basis)
+
+
+FORMULATIONS = {
+    SystemKind.FNS: Formulation(
+        False, False, lambda m, n: 2 * n + m, _assemble_fns, _base_target,
+        lambda system, solution, it, prep: recover_direction_fns(solution, it, prep.base)),
+    SystemKind.AS: Formulation(
+        True, False, lambda m, n: n + m, _assemble_as, _base_target,
+        lambda system, solution, it, prep: recover_direction_as(
+            solution, it, prep.base, system.beta)),
+    SystemKind.NES: Formulation(
+        True, True, lambda m, n: m, _assemble_nes, _nes_target, _nes_direction),
+    SystemKind.OSS: Formulation(
+        False, False, lambda m, n: n, _assemble_oss, _oss_target, _oss_direction),
+    SystemKind.MNES: Formulation(
+        True, True, lambda m, n: m,
+        lambda kind, it, prep, beta: _basis_products(kind, it, prep, beta, None),
+        _base_target, _basis_scaled_direction),
+    SystemKind.PNES: Formulation(
+        True, True, lambda m, n: m,
+        lambda kind, it, prep, beta: _basis_products(
+            kind, it, prep, beta, select_basis_mwb(it, prep.base.A)),
+        _base_target, _basis_scaled_direction),
+}
 
 
 def verify_direction(direction: Direction, it: Iterate, lp: LinearProgram,

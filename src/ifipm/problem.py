@@ -21,13 +21,9 @@ __all__ = [
     "Iterate",
     "PreprocessedProgram",
     "ResidualReport",
-    "ValidationReport",
-    "validate",
     "residuals",
     "in_neighborhood",
-    "binary_length",
     "preprocess",
-    "canonical_reformulate",
 ]
 
 #: pivot / identity-block tolerance used by preprocessing
@@ -48,14 +44,11 @@ class LinearProgram:
     """Validated standard-form instance.
 
     Construction fails on non-finite entries, on m > n, and on rank(A) < m.
-    ``empty_interior`` marks instances known to have no strictly feasible
-    point (see :func:`canonical_reformulate`); it is informational only.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    empty_interior: bool = False
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -122,8 +115,10 @@ class PreprocessedProgram:
 
     ``basis`` lists m column indices whose submatrix is invertible and
     ``nonbasic`` the remaining n - m in increasing order;
-    ``basis_inverse`` is that submatrix's inverse, ``A_hat = basis_inverse @ A``
-    (identity on the basis columns) and ``b_hat = basis_inverse @ b``.
+    ``basis_inverse`` is that submatrix's inverse and
+    ``A_hat = basis_inverse @ A`` (identity on the basis columns). The
+    cached properties are per-program constants that some Newton-system
+    kinds need, each computed on first use.
     """
 
     base: LinearProgram
@@ -131,16 +126,23 @@ class PreprocessedProgram:
     nonbasic: np.ndarray
     basis_inverse: np.ndarray
     A_hat: np.ndarray
-    b_hat: np.ndarray
 
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal null-space basis of A, shape n x (n - m) (OSS)."""
+        from .newton import null_space_basis
 
-@dataclass(frozen=True)
-class ValidationReport:
-    m: int
-    n: int
-    rank: int
-    smallest_singular_value: float
-    ok: bool
+        return null_space_basis(self.base.A)
+
+    @cached_property
+    def A_norm(self) -> float:
+        """Spectral norm ``||A||_2`` (NES residual admissibility)."""
+        return float(np.linalg.norm(self.base.A, 2))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``A @ A.T`` (NES pseudoinverse correction)."""
+        return self.base.A @ self.base.A.T
 
 
 @dataclass(frozen=True)
@@ -155,23 +157,6 @@ class ResidualReport:
     dual_inf: float
     gap: float
     mu: float
-
-
-def validate(lp: LinearProgram) -> ValidationReport:
-    """Re-derive the construction-time checks of a program.
-
-    Rank is measured by full singular value decomposition; a constructed
-    ``LinearProgram`` always passes, but the report carries the numbers.
-    """
-    sv = np.linalg.svd(lp.A, compute_uv=False)
-    rank = int(np.linalg.matrix_rank(lp.A))
-    return ValidationReport(
-        m=lp.m,
-        n=lp.n,
-        rank=rank,
-        smallest_singular_value=float(sv[-1]) if sv.size else 0.0,
-        ok=(rank == lp.m and lp.m <= lp.n),
-    )
 
 
 def residuals(lp: LinearProgram, it: Iterate) -> ResidualReport:
@@ -201,21 +186,6 @@ def in_neighborhood(it: Iterate, theta: float) -> bool:
     products = it.x * it.s
     mu = it.mu
     return bool(np.linalg.norm(products - mu) <= theta * mu)
-
-
-def binary_length(lp: LinearProgram) -> int:
-    """Bit-length measure of the instance data.
-
-    ``L = m n + m + n + sum ceil(log2(|a_ij| + 1)) + sum ceil(log2(|c_i| + 1))
-    + sum ceil(log2(|b_j| + 1))``. Intended for integer data; non-integer
-    magnitudes are rounded to the nearest integer before the formula.
-    """
-
-    def bits(v: np.ndarray) -> int:
-        mags = np.rint(np.abs(v))
-        return int(np.ceil(np.log2(mags + 1.0)).sum())
-
-    return lp.m * lp.n + lp.m + lp.n + bits(lp.A) + bits(lp.c) + bits(lp.b)
 
 
 def _auto_basis(A: np.ndarray) -> list:
@@ -255,41 +225,16 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
         raise errors.SingularBasis("supplied basis columns are linearly dependent")
     basis_inverse = np.linalg.inv(A_B)
-    # one residual-correction pass on the products: pushes A_B @ A_hat - A
-    # and A_B @ b_hat - b from the eps*kappa(A_B) level down to machine
-    # level, which keeps the per-step feasibility drift of the
-    # basis-corrected directions flat on ill-conditioned instances
+    # one residual-correction pass on the product: pushes A_B @ A_hat - A
+    # from the eps*kappa(A_B) level down to machine level, which keeps the
+    # per-step feasibility drift of the basis-corrected directions flat on
+    # ill-conditioned instances
     A_hat = basis_inverse @ lp.A
-    b_hat = basis_inverse @ lp.b
     A_hat += basis_inverse @ (lp.A - A_B @ A_hat)
-    b_hat += basis_inverse @ (lp.b - A_B @ b_hat)
     return PreprocessedProgram(
         base=lp,
         basis=tuple(basis),
         nonbasic=nonbasic_indices(basis, lp.n),
         basis_inverse=basis_inverse,
         A_hat=A_hat,
-        b_hat=b_hat,
     )
-
-
-def canonical_reformulate(lp: LinearProgram) -> LinearProgram:
-    """Doubled slack form whose basis submatrix is free.
-
-    Returns the (2m) x (n + 2m) instance
-
-        [ A  I  0 ] [x u u']^T = ( b, -b),   cost (c, 0, 0),
-        [-A  0  I ]
-
-    which needs no basis-inversion preprocessing (the slack columns are an
-    identity) but has an empty strict interior: any feasible point forces
-    u = u' = 0. The returned program carries ``empty_interior=True``.
-    """
-    m, n = lp.m, lp.n
-    A2 = np.block([
-        [lp.A, np.eye(m), np.zeros((m, m))],
-        [-lp.A, np.zeros((m, m)), np.eye(m)],
-    ])
-    b2 = np.concatenate([lp.b, -lp.b])
-    c2 = np.concatenate([lp.c, np.zeros(2 * m)])
-    return LinearProgram(A2, b2, c2, empty_interior=True)

@@ -147,9 +147,8 @@ def test_criterion_3_orthogonality_and_contraction(oracle_runs):
            ratio_ok and worst_dot <= 1e-10,
            f"(contraction window: {'ok' if ratio_ok else 'VIOLATED'}; "
            f"worst |dx.ds|/(|dx||ds|) = {worst_dot:.2e} overall, "
-           f"{worst_dot_moderate:.2e} on the kappa=10 half; the overall "
-           f"value sits at the double-precision floor for kappa=1e6, "
-           f"see decisions ledger)")
+           f"{worst_dot_moderate:.2e} on the kappa=10 half; bound 1e-10, "
+           f"history in the decisions ledger)")
 
 
 def test_criterion_4_neighborhood_invariance(oracle_runs):

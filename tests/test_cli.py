@@ -94,6 +94,28 @@ def test_malformed_json_is_input_error(tmp_path):
     assert run("solve", "--instance", bad, "--out", tmp_path / "x.json") == 2
 
 
+@pytest.mark.parametrize("basis", [["a", "b"], 5, [0.5, 1.7]])
+def test_malformed_basis_is_input_error(tmp_path, basis):
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 2, "--n", 4, "--seed", 30, "--out", inst)
+    payload = json.loads(inst.read_text())
+    payload["basis"] = basis
+    inst.write_text(json.dumps(payload))
+    assert run("solve", "--instance", inst, "--zeta", 1e-3,
+               "--out", tmp_path / "s.json") == 2
+    out = tmp_path / "batch.csv"
+    assert run("batch", "--instance", inst, "--zeta", 1e-3, "--out", out) == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == "0"
+
+
+def test_solve_rejects_two_instances(tmp_path):
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 2, "--n", 4, "--seed", 30, "--out", inst)
+    out = tmp_path / "s.json"
+    assert run("solve", "--instance", inst, "--instance", inst, "--out", out) == 2
+    assert not out.exists()
+
+
 def test_missing_dimensions_is_input_error(tmp_path):
     assert run("trace", "--out", tmp_path / "t.csv") == 2
 
@@ -197,14 +219,6 @@ def test_instance_json_round_trips_bit_exactly(tmp_path):
     np.testing.assert_array_equal(loaded.interior.x, inst.start.x)
     np.testing.assert_array_equal(loaded.optimal.s, inst.optimal.s)
     assert loaded.partition == inst.partition
-
-
-def test_exact_termination_threshold_formula():
-    from ifipm.ipm import exact_termination_threshold
-    from ifipm import LinearProgram
-
-    lp = LinearProgram(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
-    assert exact_termination_threshold(lp) == 2.0 ** (-6)
 
 
 def test_batch_isolates_bad_instance(tmp_path):

@@ -221,6 +221,37 @@ def test_one_basis_assembly_per_iteration(kind, monkeypatch):
     assert len(calls) == len(trace.records) > 0
 
 
+def test_nes_program_constants_computed_once(monkeypatch):
+    # ||A||_2 (residual target) and A A^T (correction solve) are constants
+    # of the program, computed once however many iterations run
+    from ifipm import solvers
+
+    inst = generate(GeneratorSpec(m=5, n=11, seed=7))
+    A = inst.lp.A
+    gram = A @ A.T
+    norms, grams = [], []
+    norm, solve_exact = np.linalg.norm, solvers.solve_exact
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            norms.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    def counted_solve(matrix, rhs):
+        if np.array_equal(matrix, gram):
+            grams.append(matrix)
+        return solve_exact(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(solvers, "solve_exact", counted_solve)
+    _, trace = if_ipm(preprocess(inst.lp), inst.start,
+                      IpmParams(zeta=1e-3, system=SystemKind.NES))
+    assert len(trace.records) > 1
+    assert len(norms) == 1
+    assert len(grams) == len(trace.records)
+    assert all(g is grams[0] for g in grams)
+
+
 def test_condition_numbers_are_opt_in(monkeypatch):
     from ifipm import ipm
 

@@ -22,7 +22,7 @@ from ifipm import (
     select_basis_mwb,
     verify_direction,
 )
-from ifipm.newton import proc_a_residual_bound, system_size
+from ifipm.newton import FORMULATIONS, proc_a_residual_bound
 from ifipm.solvers import solve_exact
 
 from conftest import dense_newton_direction, feasible_iterate, interior_iterate
@@ -36,7 +36,7 @@ def test_system_sizes_match_table():
     expected = {SystemKind.FNS: 17, SystemKind.AS: 10, SystemKind.NES: 3,
                 SystemKind.OSS: 7, SystemKind.MNES: 3, SystemKind.PNES: 3}
     for kind, size in expected.items():
-        assert system_size(kind, 3, 7) == size
+        assert FORMULATIONS[kind].size(3, 7) == size
         sys = assemble(kind, inst.start, prep, beta=0.9)
         assert sys.matrix.shape == (size, size)
         assert sys.rhs.shape == (size,)
@@ -262,7 +262,7 @@ def test_proc_a_zero_residual_matches_exact(central_instance):
     beta = 0.9
     sys = assemble(SystemKind.NES, it, prep, beta)
     dy = solve_exact(sys.matrix, sys.rhs).solution
-    direction = recover_direction_nes_procA(dy, np.zeros(lp.m), it, lp, beta)
+    direction = recover_direction_nes_procA(dy, np.zeros(lp.m), it, prep, beta)
     dx, dy_ref, ds = dense_newton_direction(lp, it, beta)
     assert np.linalg.norm(direction.dx - dx) <= 1e-8 * (1 + np.linalg.norm(dx))
     assert np.linalg.norm(direction.dy - dy_ref) <= 1e-8
@@ -279,7 +279,7 @@ def test_proc_a_correction_solves_av_equals_r(central_instance):
         # A v = r holds for any r; A dx = 0 needs r consistent with dy
         dy = rng.standard_normal(lp.m)
         r = sys.matrix @ dy - sys.rhs
-        direction = recover_direction_nes_procA(dy, r, it, lp, 0.9)
+        direction = recover_direction_nes_procA(dy, r, it, prep, 0.9)
         assert np.linalg.norm(lp.A @ direction.correction_v - r, np.inf) <= 1e-10
         assert np.linalg.norm(lp.A @ direction.dx, np.inf) <= 1e-9
 
@@ -290,7 +290,7 @@ def test_proc_a_admissibility_formula():
     lp = LinearProgram(A, np.ones(2), 2e3 * np.ones(2))
     it = Iterate(np.array([1e-3, 1e3]), np.zeros(2), np.array([1e3, 1e-3]))
     assert it.mu == pytest.approx(1.0)
-    assert proc_a_residual_bound(it, lp, 0.1) == pytest.approx(1e-7, rel=1e-12)
+    assert proc_a_residual_bound(it, preprocess(lp), 0.1) == pytest.approx(1e-7, rel=1e-12)
 
 
 def test_oss_zero_solution_zero_direction(central_instance):
@@ -322,7 +322,7 @@ def test_oss_exact_matches_dense_full_system(central_instance):
     beta = 0.9
     sys = assemble(SystemKind.OSS, it, prep, beta)
     sol = solve_exact(sys.matrix, sys.rhs).solution
-    d = recover_direction_oss(sol[:lp.m], sol[lp.m:], it, lp, sys.null_basis)
+    d = recover_direction_oss(sol[:lp.m], sol[lp.m:], it, lp, prep.null_basis)
     dx, dy, ds = dense_newton_direction(lp, it, beta)
     assert np.linalg.norm(d.dx - dx) <= 1e-8 * (1 + np.linalg.norm(dx))
     assert np.linalg.norm(d.dy - dy) <= 1e-8

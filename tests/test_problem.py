@@ -4,21 +4,11 @@ import pytest
 from ifipm import (
     Iterate,
     LinearProgram,
-    binary_length,
-    canonical_reformulate,
     errors,
     in_neighborhood,
     preprocess,
     residuals,
-    validate,
 )
-
-
-def test_validate_identity():
-    lp = LinearProgram(np.eye(2), np.ones(2), np.ones(2))
-    report = validate(lp)
-    assert report.ok
-    assert report.rank == 2
 
 
 def test_rank_deficient_rejected():
@@ -97,30 +87,6 @@ def test_neighborhood_componentwise_bound():
             assert np.all(x * s <= (1 + theta) * mu + 1e-12)
 
 
-def test_binary_length_unit_instance():
-    lp = LinearProgram(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
-    # mn + m + n = 3 plus three ceil(log2(2)) = 1 terms
-    assert binary_length(lp) == 6
-
-
-def test_binary_length_zero_data():
-    lp = LinearProgram(np.array([[0.0, 1e-300]]), np.array([0.0]), np.array([0.0, 0.0]))
-    # log2(0 + 1) terms all vanish: m n + m + n = 2 + 1 + 2
-    assert binary_length(lp) == 5
-
-
-def test_binary_length_power_of_two_crossings():
-    def term(v):
-        lp = LinearProgram(np.array([[v]]), np.array([0.0]), np.array([0.0]))
-        return binary_length(lp)
-
-    # doubling a magnitude adds exactly one bit when crossing a power of 2
-    assert term(4.0) - term(2.0) == 1
-    assert term(8.0) - term(4.0) == 1
-    # within the same power-of-two bracket the term is unchanged
-    assert term(6.0) == term(7.0)
-
-
 def test_preprocess_identity_prefix():
     rng = np.random.default_rng(0)
     N = rng.standard_normal((3, 4))
@@ -128,7 +94,6 @@ def test_preprocess_identity_prefix():
     lp = LinearProgram(A, np.arange(1.0, 4.0), np.ones(7))
     prep = preprocess(lp, basis=[0, 1, 2])
     np.testing.assert_allclose(prep.A_hat, A, atol=1e-14)
-    np.testing.assert_allclose(prep.b_hat, lp.b, atol=1e-14)
 
 
 def test_preprocess_duplicate_columns_rejected():
@@ -154,26 +119,3 @@ def test_preprocess_idempotent_in_effect():
     prep = preprocess(lp)
     again = preprocess(lp, basis=prep.basis)
     np.testing.assert_allclose(again.A_hat, prep.A_hat, atol=1e-12)
-
-
-def test_canonical_reformulate_shapes_and_flag():
-    rng = np.random.default_rng(1)
-    lp = LinearProgram(rng.standard_normal((2, 4)), rng.standard_normal(2),
-                       rng.standard_normal(4))
-    doubled = canonical_reformulate(lp)
-    assert doubled.A.shape == (4, 8)
-    assert doubled.empty_interior
-    assert not lp.empty_interior
-
-
-def test_canonical_reformulate_feasibility_map():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((2, 4))
-    x = rng.uniform(0.5, 1.5, 4)
-    lp = LinearProgram(A, A @ x, rng.standard_normal(4))
-    doubled = canonical_reformulate(lp)
-    lifted = np.concatenate([x, np.zeros(4)])  # (x, b - Ax, Ax - b) = (x, 0, 0)
-    np.testing.assert_allclose(doubled.A @ lifted, doubled.b, atol=1e-12)
-    # the lifted point sits on the boundary: no neighborhood admits it
-    it = Iterate(lifted, np.zeros(4), np.ones(8))
-    assert not in_neighborhood(it, 0.99)
