@@ -5,6 +5,12 @@ for nondegenerate problems the normal-equation condition number settles
 at a constant; for degenerate ones it grows like 1/mu^2 while the
 orthogonal-subspaces system grows like 1/mu. Writes one trace CSV per
 regime (gnuplot-ready: log-scale kappa columns against the mu column).
+
+The trajectory is driven by PNES, which reselects the maximum-weight
+basis every iteration. MNES with its fixed preprocessing basis leaves
+the neighborhood on ``degenerate_k1e6`` near iterate 232 (see the
+README's *Numerical limits*); every kind's condition number is still
+recorded along the PNES trajectory.
 """
 
 from ifipm import GeneratorSpec, IpmParams, SystemKind, assemble, condition_number
@@ -17,7 +23,7 @@ KINDS = [SystemKind.FNS, SystemKind.AS, SystemKind.NES, SystemKind.OSS,
 
 def trace(inst, zeta=1e-7):
     prep = preprocess(inst.lp)
-    params = IpmParams(zeta=zeta)
+    params = IpmParams(zeta=zeta, system=SystemKind.PNES)
     beta = params.resolve_beta(inst.lp.n)
     rows = []
 

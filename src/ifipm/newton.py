@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import errors
-from .problem import Iterate, LinearProgram, PreprocessedProgram, nonbasic_indices
+from .problem import Iterate, LinearProgram, PreprocessedProgram
 
 __all__ = [
     "SystemKind",
@@ -186,59 +186,66 @@ def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
     index) and accepted iff they increase the rank of the selection,
     measured by the orthogonal remainder exceeding ``1e-10`` of the
     column norm. Returns exactly m indices in acceptance order.
+
+    The greedy runs in blocks: the next ``m - k`` nonzero columns, with
+    the ``k`` accepted directions projected out twice, take one
+    Householder QR, whose ``|R_ii|`` is the remainder of column ``i``
+    against everything before it. The block's prefix up to the first
+    failing column is accepted and the failing column skipped. When any
+    m columns are independent, that is one QR per call.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if not it.is_interior:
         raise errors.SingularDiagonal("basis selection needs a strictly interior iterate")
     ratios = it.x / it.s
+    norms = np.linalg.norm(A, axis=0)
     order = np.lexsort((np.arange(n), -ratios))
-    Q = np.empty((m, 0))
+    order = order[norms[order] > 0.0]
+    Q = np.empty((m, m))
     chosen: list = []
-    for j in order:
-        col = A[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        # two Gram-Schmidt passes keep the remainder trustworthy
-        resid = col - Q @ (Q.T @ col)
-        resid = resid - Q @ (Q.T @ resid)
-        if np.linalg.norm(resid) > MWB_TOL * norm:
-            Q = np.hstack([Q, (resid / np.linalg.norm(resid))[:, None]])
-            chosen.append(int(j))
-            if len(chosen) == m:
-                return chosen
-    raise errors.BasisNotFound(f"only {len(chosen)} independent columns found, need {m}")
+    start = 0
+    while len(chosen) < m and start < order.size:
+        k = len(chosen)
+        block = order[start:start + m - k]
+        W = A[:, block]
+        if k:
+            # two projection passes keep the remainders trustworthy
+            Q_k = Q[:, :k]
+            W = W - Q_k @ (Q_k.T @ W)
+            W = W - Q_k @ (Q_k.T @ W)
+        Q_block, R = np.linalg.qr(W)
+        passed = np.abs(np.diag(R)) > MWB_TOL * norms[block]
+        accepted = block.size if passed.all() else int(np.argmin(passed))
+        Q[:, k:k + accepted] = Q_block[:, :accepted]
+        chosen.extend(block[:accepted].tolist())
+        start += accepted + 1
+    if len(chosen) < m:
+        raise errors.BasisNotFound(f"only {len(chosen)} independent columns found, need {m}")
+    return chosen
 
 
 def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
                     beta: float, basis) -> AssembledSystem:
     """Assembly of the basis-scaled normal equations.
 
-    ``basis=None`` (or the preprocessing basis itself) reuses the fixed
-    preprocessing products; any other basis is inverted here. The
-    scaled right-hand side is built from ``A_hat @ x``, not from
+    ``basis=None``, or any ordering of the preprocessing basis, reuses the
+    fixed preprocessing products. Any other basis takes its products from
+    :meth:`~ifipm.problem.PreprocessedProgram.basis_factors`, in
+    increasing index order, so the system does not depend on the
+    acceptance order or on whether the products were kept from an earlier
+    call. The scaled right-hand side is built from ``A_hat @ x``, not from
     ``basis_inverse @ b``: with it, the solved system gives
     ``A_hat dx = 0``, so recovery can take ``dx`` on the basis from ``dx``
     off it. The ``b`` form would have the step also absorb the iterate's
     float-level primal infeasibility, which that re-derivation discards.
     """
-    lp = prep.base
-    d = it.scaling()
-    if basis is None or tuple(basis) == prep.basis:
+    if basis is None or set(basis) == set(prep.basis):
         basis, nonbasic = prep.basis, prep.nonbasic
         basis_inverse, A_hat = prep.basis_inverse, prep.A_hat
     else:
-        basis = tuple(int(j) for j in basis)
-        nonbasic = nonbasic_indices(basis, lp.n)
-        A_B = lp.A[:, list(basis)]
-        try:
-            basis_inverse = np.linalg.inv(A_B)
-        except np.linalg.LinAlgError as exc:
-            raise errors.SingularBasis(str(exc)) from exc
-        # same residual-correction pass as the fixed preprocessing
-        A_hat = basis_inverse @ lp.A
-        A_hat += basis_inverse @ (lp.A - A_B @ A_hat)
+        basis, nonbasic, basis_inverse, A_hat = prep.basis_factors(basis)
+    d = it.scaling()
     d_B = d[list(basis)]
     E = A_hat * d
     E /= d_B[:, None]
@@ -340,7 +347,7 @@ def recover_direction_mnes(z_tilde: np.ndarray, r_hat: np.ndarray, it: Iterate,
     preconditioned variant); the default is the preprocessing basis.
     The recovery itself is :func:`recover_direction_basis_scaled`.
     """
-    basis_given = basis is not None and tuple(basis) != prep.basis
+    basis_given = basis is not None and set(basis) != set(prep.basis)
     kind = SystemKind.PNES if basis_given else SystemKind.MNES
     system = _basis_products(kind, it, prep, beta, basis)
     z_tilde = np.asarray(z_tilde, dtype=float)
@@ -366,13 +373,16 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
         ds    = -A^T dy
         dx    = beta mu / s - x - (x/s) ds - v
         dx[B] = -A_hat[:, N] @ dx[N]
+        dx[B] -= basis_inverse @ (A @ dx)
 
-    In exact arithmetic the last line changes nothing: ``A_hat dx = 0``
+    In exact arithmetic the last two lines change nothing: ``A_hat dx = 0``
     already holds. In floating point the formula's terms on ``B`` are
     orders of magnitude larger than the result when ``||v||`` is large,
     and their cancellation would leave ``A dx`` at ``eps * ||v||``;
     taking ``dx[B]`` from ``dx[N]`` keeps ``A dx`` at the rounding level of
-    ``dx`` itself. The step perturbs only the centering row, by ``-S v``.
+    ``dx`` itself, and one residual-correction pass removes what the
+    rounding of ``A_hat`` leaves. The step perturbs only the centering
+    row, by ``-S v``.
     (On dual-feasible iterates ``-A^T dy`` equals the
     infeasibility-restoring form ``c - A^T y - s - A^T dy``; the plain
     form is used because the restoring variant feeds machine-level dual
@@ -387,6 +397,7 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     ds = -lp.A.T @ dy
     dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
     dx[basis] = -system.A_hat[:, N] @ dx[N]
+    dx[basis] -= system.basis_inverse @ (lp.A @ dx)
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
                      system=system.kind)
 

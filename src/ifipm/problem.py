@@ -3,13 +3,15 @@
 A program is ``min c.x  s.t.  A x = b, x >= 0`` with full-row-rank A
 (m rows, n >= m columns). The dual variables are (y, s) with
 ``A^T y + s = c, s >= 0``. Everything here is an immutable value; all
-functions are pure.
+functions are pure. A :class:`PreprocessedProgram` computes some derived
+products on first use and keeps them, which changes no result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -118,7 +120,8 @@ class PreprocessedProgram:
     ``basis_inverse`` is that submatrix's inverse and
     ``A_hat = basis_inverse @ A`` (identity on the basis columns). The
     cached properties are per-program constants that some Newton-system
-    kinds need, each computed on first use.
+    kinds need, each computed on first use. :meth:`basis_factors` gives
+    the same products for any other basis and keeps the last one.
     """
 
     base: LinearProgram
@@ -126,6 +129,24 @@ class PreprocessedProgram:
     nonbasic: np.ndarray
     basis_inverse: np.ndarray
     A_hat: np.ndarray
+    _basis_memo: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def basis_factors(self, basis) -> tuple:
+        """``(basis, nonbasic, basis_inverse, A_hat)`` for another basis.
+
+        The products are built for the basis in increasing order, whatever
+        the order of ``basis``, and the last set asked for is kept: a
+        repeated set costs nothing, and the result does not depend on
+        whether it was kept or built. Raises
+        :class:`~ifipm.errors.SingularBasis` if the inversion fails.
+        """
+        key = tuple(sorted(int(j) for j in basis))
+        memo = self._basis_memo
+        if memo is None or memo[0] != key:
+            basis_inverse, A_hat = _inverse_products(self.base.A, key)
+            memo = (key, nonbasic_indices(key, self.base.n), basis_inverse, A_hat)
+            object.__setattr__(self, "_basis_memo", memo)
+        return memo
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -198,6 +219,24 @@ def _auto_basis(A: np.ndarray) -> list:
     return sorted(int(j) for j in piv[:m])
 
 
+def _inverse_products(A: np.ndarray, basis) -> tuple:
+    """``basis_inverse`` of ``A[:, basis]`` and ``A_hat = basis_inverse @ A``.
+
+    One residual-correction pass on the product pushes ``A_B @ A_hat - A``
+    from the ``eps * kappa(A_B)`` level down to machine level, which keeps
+    the per-step feasibility drift of the basis-corrected directions flat
+    on ill-conditioned instances.
+    """
+    A_B = A[:, list(basis)]
+    try:
+        basis_inverse = np.linalg.inv(A_B)
+    except np.linalg.LinAlgError as exc:
+        raise errors.SingularBasis(str(exc)) from exc
+    A_hat = basis_inverse @ A
+    A_hat += basis_inverse @ (A - A_B @ A_hat)
+    return basis_inverse, A_hat
+
+
 def nonbasic_indices(basis, n: int) -> np.ndarray:
     """Increasing indices in ``range(n)`` that ``basis`` does not hold."""
     outside = np.ones(n, dtype=bool)
@@ -220,17 +259,10 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
         raise errors.SingularBasis(f"basis must hold {lp.m} distinct indices")
     if min(basis) < 0 or max(basis) >= lp.n:
         raise errors.SingularBasis("basis index out of range")
-    A_B = lp.A[:, basis]
-    sv = np.linalg.svd(A_B, compute_uv=False)
+    sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
     if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
         raise errors.SingularBasis("supplied basis columns are linearly dependent")
-    basis_inverse = np.linalg.inv(A_B)
-    # one residual-correction pass on the product: pushes A_B @ A_hat - A
-    # from the eps*kappa(A_B) level down to machine level, which keeps the
-    # per-step feasibility drift of the basis-corrected directions flat on
-    # ill-conditioned instances
-    A_hat = basis_inverse @ lp.A
-    A_hat += basis_inverse @ (lp.A - A_B @ A_hat)
+    basis_inverse, A_hat = _inverse_products(lp.A, basis)
     return PreprocessedProgram(
         base=lp,
         basis=tuple(basis),

@@ -221,6 +221,35 @@ def test_one_basis_assembly_per_iteration(kind, monkeypatch):
     assert len(calls) == len(trace.records) > 0
 
 
+def test_pnes_inverts_once_per_basis_set(monkeypatch):
+    # consecutive iterations that select the same basis set share one
+    # inversion; only a change of set inverts again
+    from ifipm import newton
+
+    inst = generate(GeneratorSpec(m=5, n=11, seed=7))
+    prep = preprocess(inst.lp)
+    sets, inversions = [], []
+    select, inv = newton.select_basis_mwb, np.linalg.inv
+
+    def counted_select(it, A):
+        basis = select(it, A)
+        sets.append(frozenset(basis))
+        return basis
+
+    def counted_inv(a):
+        inversions.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(newton, "select_basis_mwb", counted_select)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-3, system=SystemKind.PNES))
+    fixed = frozenset(prep.basis)
+    changes = sum(1 for k, basis in enumerate(sets)
+                  if basis != fixed and (k == 0 or basis != sets[k - 1]))
+    assert len(sets) == len(trace.records)
+    assert 0 < len(inversions) == changes < len(trace.records)
+
+
 def test_nes_program_constants_computed_once(monkeypatch):
     # ||A||_2 (residual target) and A A^T (correction solve) are constants
     # of the program, computed once however many iterations run

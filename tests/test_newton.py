@@ -2,7 +2,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ifipm import (
     GeneratorSpec,
@@ -138,6 +138,83 @@ def test_mwb_tie_breaks_to_lower_index():
     assert select_basis_mwb(it, A) == [0, 1]
 
 
+def _reference_mwb(it, A):
+    """The column-by-column Gram-Schmidt greedy the blocked selection replaced."""
+    m, n = A.shape
+    order = np.lexsort((np.arange(n), -(it.x / it.s)))
+    Q = np.empty((m, 0))
+    chosen = []
+    for j in order:
+        col = A[:, j]
+        norm = np.linalg.norm(col)
+        if norm == 0.0:
+            continue
+        resid = col - Q @ (Q.T @ col)
+        resid = resid - Q @ (Q.T @ resid)
+        if np.linalg.norm(resid) > 1e-10 * norm:
+            Q = np.hstack([Q, (resid / np.linalg.norm(resid))[:, None]])
+            chosen.append(int(j))
+            if len(chosen) == m:
+                return chosen
+    raise errors.BasisNotFound(f"only {len(chosen)} independent columns found, need {m}")
+
+
+def _mwb_outcome(select, it, A):
+    try:
+        return select(it, A)
+    except errors.BasisNotFound:
+        return "BasisNotFound"
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 6), extra=st.integers(0, 8),
+       structure=st.sampled_from(["generic", "duplicates", "zeros", "low_rank", "integer"]),
+       tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mwb_matches_column_by_column_greedy(m, extra, structure, tied, seed):
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    A = rng.standard_normal((m, n))
+    if structure == "duplicates":
+        for _ in range(rng.integers(1, n + 1)):
+            A[:, rng.integers(n)] = rng.choice([1.0, -2.0]) * A[:, rng.integers(n)]
+    elif structure == "zeros":
+        A[:, rng.choice(n, rng.integers(1, n + 1), replace=False)] = 0.0
+    elif structure == "low_rank":
+        rank = int(rng.integers(1, m + 1))
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    elif structure == "integer":
+        A = rng.integers(-2, 3, (m, n)).astype(float)
+    x = rng.uniform(0.1, 2.0, n)
+    if tied:  # few distinct ratios, so the lower-index tie break decides
+        x = rng.integers(1, 4, n).astype(float)
+    it = Iterate(x, np.zeros(m), np.ones(n))
+    assert _mwb_outcome(select_basis_mwb, it, A) == _mwb_outcome(_reference_mwb, it, A)
+
+
+def test_pnes_assembly_independent_of_kept_factors(central_instance):
+    # the basis products are kept per basis set and built in sorted order,
+    # so a warm and a cold assembly agree bit for bit
+    lp = central_instance.lp
+    prep = preprocess(lp)
+    chosen = [j for j in range(lp.n) if j not in prep.basis][:lp.m]
+    x = np.ones(lp.n)
+    x[chosen] = 2.0 + np.arange(lp.m)
+    it = Iterate(x, np.zeros(lp.m), np.ones(lp.n))
+    x_other = x.copy()
+    x_other[chosen] = x[chosen][::-1]  # same basis set, other acceptance order
+    other = Iterate(x_other, np.zeros(lp.m), np.ones(lp.n))
+    assert set(select_basis_mwb(it, lp.A)) == set(chosen) != set(prep.basis)
+    assert select_basis_mwb(it, lp.A) != select_basis_mwb(other, lp.A)
+
+    cold = assemble(SystemKind.PNES, it, preprocess(lp), beta=0.9)
+    warm_prep = preprocess(lp)
+    assemble(SystemKind.PNES, other, warm_prep, beta=0.9)
+    warm = assemble(SystemKind.PNES, it, warm_prep, beta=0.9)
+    np.testing.assert_array_equal(warm.matrix, cold.matrix)
+    np.testing.assert_array_equal(warm.rhs, cold.rhs)
+    np.testing.assert_array_equal(warm.A_hat, cold.A_hat)
+
+
 def test_mwb_recovers_optimal_partition(optimal_instance):
     inst = optimal_instance
     B, N = inst.partition
@@ -183,6 +260,9 @@ def _recovery_instances():
 @given(index=st.integers(0, 3), kind=st.sampled_from([SystemKind.MNES, SystemKind.PNES]),
        log_mu=st.floats(-10.0, 0.0), log_residual=st.floats(-3.0, 3.0),
        log_spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+# A dx read 1.5 times the bound here before recovery took a residual-correction pass
+@example(index=2, kind=SystemKind.PNES, log_mu=0.0, log_residual=0.0, log_spread=0.0,
+         seed=1537)
 def test_recovered_step_stays_in_null_space(index, kind, log_mu, log_residual,
                                             log_spread, seed):
     # A dx = 0 up to the rounding of dx itself, however large the injected
@@ -461,6 +541,41 @@ def test_assembly_is_parallel_safe(central_instance):
         ref = assemble(kind, it, prep, 0.9)
         np.testing.assert_array_equal(sys.matrix, ref.matrix)
         np.testing.assert_array_equal(sys.rhs, ref.rhs)
+
+
+def test_kept_basis_factors_are_thread_safe(central_instance):
+    # threads that alternate between two basis sets on one program keep
+    # replacing its kept factors; every assembly must still equal a cold one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    lp = central_instance.lp
+    prep = preprocess(lp)
+    iterates = []
+    for shift in (0, lp.n - lp.m):
+        x = np.ones(lp.n)
+        x[shift:shift + lp.m] = 2.0
+        iterates.append(Iterate(x, np.zeros(lp.m), np.ones(lp.n)))
+    sets = {frozenset(select_basis_mwb(it, lp.A)) for it in iterates}
+    assert len(sets) == 2 and frozenset(prep.basis) not in sets
+    cold = [assemble(SystemKind.PNES, it, preprocess(lp), 0.9) for it in iterates]
+
+    def build(k):
+        sys_k = assemble(SystemKind.PNES, iterates[k % 2], prep, 0.9)
+        ref = cold[k % 2]
+        return (np.array_equal(sys_k.matrix, ref.matrix)
+                and np.array_equal(sys_k.rhs, ref.rhs)
+                and np.array_equal(sys_k.basis_inverse, ref.basis_inverse))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build, k) for k in range(400)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)
 
 
 def test_mnes_equals_pnes_on_matching_basis(central_instance):
