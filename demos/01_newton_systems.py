@@ -14,7 +14,7 @@ from ifipm import (
     condition_number,
     generate,
     preprocess,
-    recover_direction_mnes,
+    recover_direction,
     solve_exact,
     verify_direction,
 )
@@ -35,8 +35,7 @@ for kind in SystemKind:
 # solve the basis-scaled system exactly and recover the step
 sys = assemble(SystemKind.MNES, inst.start, prep, beta)
 z = solve_exact(sys.matrix, sys.rhs).solution
-direction = recover_direction_mnes(z, sys.matrix @ z - sys.rhs,
-                                   inst.start, prep, beta)
+direction = recover_direction(sys, z, inst.start, prep)
 report = verify_direction(direction, inst.start, inst.lp, beta, eta=0.1, theta=0.4)
 print("\nexact basis-scaled step:")
 print(f"  ||A dx||_inf          = {report.primal_residual:.3e}")

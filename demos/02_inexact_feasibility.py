@@ -44,11 +44,10 @@ beta = params.resolve_beta(lp.n)
 sys = assemble(SystemKind.MNES, it, prep, beta)
 target = params.eta / np.sqrt(1 + params.theta) * np.sqrt(it.mu)
 z = OracleSolver(mode="adversarial", seed=9)(sys.matrix, sys.rhs, target).solution
-r_hat = sys.matrix @ z - sys.rhs
 
-from ifipm import recover_direction_mnes, Iterate
+from ifipm import recover_direction, Iterate
 
-direction = recover_direction_mnes(z, r_hat, it, prep, beta)
+direction = recover_direction(sys, z, it, prep)
 corrected = Iterate(it.x + direction.dx, it.y + direction.dy, it.s + direction.ds)
 uncorrected = Iterate(it.x + direction.dx + direction.correction_v,
                       it.y + direction.dy, it.s + direction.ds)

@@ -22,7 +22,7 @@ from ifipm import (
     preprocess,
     select_basis_mwb,
 )
-from ifipm.solvers import SolveRequest, solve_cg
+from ifipm.solvers import solve_cg
 
 inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
                               mode="known-optimal", seed=5))
@@ -68,6 +68,6 @@ print(f"\nCG at a near-optimal iterate (m=40, selected basis == optimal support:
 for kind in (SystemKind.NES, SystemKind.PNES):
     sys = assemble(kind, near, big_prep, beta)
     tol = 1e-8 * (1 + np.linalg.norm(sys.rhs))
-    rep = solve_cg(SolveRequest(sys.matrix, sys.rhs, tol, max_iterations=100000))
+    rep = solve_cg(sys.matrix, sys.rhs, tol, max_iterations=100000)
     print(f"  {kind.name}: {rep.iterations} iterations "
           f"(kappa {condition_number(sys):.2e})")

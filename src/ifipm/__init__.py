@@ -43,7 +43,7 @@ from .newton import (
     chi_bar,
     condition_number,
     null_space_basis,
-    recover_direction_mnes,
+    recover_direction,
     recover_direction_nes_procA,
     recover_direction_oss,
     select_basis_mwb,
@@ -56,12 +56,10 @@ from .solvers import (
     PcgSolver,
     RefiningSolver,
     SolveReport,
-    SolveRequest,
     inexact_oracle,
     refine_linear,
     solve_cg,
     solve_exact,
-    solve_pcg,
 )
 from .ipm import (
     IpmParams,

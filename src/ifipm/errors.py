@@ -64,10 +64,6 @@ class BasisNotFound(SolveError):
     """Greedy basis selection found fewer than m independent columns."""
 
 
-class ResidualMismatch(SolveError):
-    """Supplied solver residual disagrees with its recomputation."""
-
-
 class TooLarge(InputError):
     """Instance exceeds the size limit of an enumeration routine."""
 

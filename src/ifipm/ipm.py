@@ -78,14 +78,14 @@ class ParameterCheck:
     con2_rhs: float
 
 
-def check_parameters(n: int, theta: float, eta: float, beta: float):
+def check_parameters(n: int, theta: float, eta: float, beta: float) -> ParameterCheck:
     """Evaluate the two convergence conditions literally.
 
     con1: ``beta <= 1 - (eta + 0.01)/sqrt(n)``
     con2: ``(theta^2 + n (1-beta)^2 + eta^2) / (2^{3/2} (1-theta)) + eta
     <= theta (beta - eta/sqrt(n))``
 
-    Returns ``(ok, details)`` with both sides of each inequality.
+    Returns the verdict ``ok`` with both sides of each inequality.
     """
     if n < 1:
         raise errors.InvalidParameters("n must be at least 1")
@@ -94,7 +94,7 @@ def check_parameters(n: int, theta: float, eta: float, beta: float):
     con1_rhs = 1.0 - (eta + 0.01) / sqrt_n
     con2_lhs = (theta**2 + n * (1.0 - beta) ** 2 + eta**2) / (2**1.5 * (1.0 - theta)) + eta
     con2_rhs = theta * (beta - eta / sqrt_n)
-    details = ParameterCheck(
+    return ParameterCheck(
         ok=(con1_lhs <= con1_rhs and con2_lhs <= con2_rhs),
         con1_ok=con1_lhs <= con1_rhs,
         con2_ok=con2_lhs <= con2_rhs,
@@ -103,7 +103,6 @@ def check_parameters(n: int, theta: float, eta: float, beta: float):
         con2_lhs=con2_lhs,
         con2_rhs=con2_rhs,
     )
-    return details.ok, details
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +211,9 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     lp = prep.base
     n = lp.n
     beta = params.resolve_beta(n)
-    ok, pcheck = check_parameters(n, params.theta, params.eta, beta)
+    pcheck = check_parameters(n, params.theta, params.eta, beta)
     log.debug("parameter check: %s", pcheck)
-    if not ok and not params.override_parameter_check:
+    if not pcheck.ok and not params.override_parameter_check:
         raise errors.InvalidParameters(
             f"(beta={beta:.6f}, eta={params.eta}, theta={params.theta}, n={n}) "
             f"fail the convergence conditions: {pcheck}; "
@@ -290,7 +289,9 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     precision, then rescales the residual problem by ``scale = 1/(x.s)``
     and warm-starts the next loop from ``(scale*x, 0, scale*s)``, until
     ``x.s / n <= zeta``. A loop that neither finishes nor contracts the
-    gap by ``2 * zeta_hat`` raises :class:`~ifipm.errors.NoProgress`.
+    gap by ``2 * zeta_hat`` raises :class:`~ifipm.errors.NoProgress`; a
+    rescaled warm start that the inner loop rejects raises
+    :class:`~ifipm.errors.LeftNeighborhood`.
 
     The subproblem stop threshold is adapted per loop: a loop never runs
     deeper than needed to land the outer gap below ``n * zeta`` (running
@@ -331,8 +332,14 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         sub_lp = LinearProgram(lp.A, scale * lp.b, scale * current.s)
         warm = Iterate(scale * current.x, np.zeros(lp.m), scale * current.s)
         sub_prep = preprocess(sub_lp, basis=select_basis_mwb(warm, lp.A))
-        refined, trace = if_ipm(sub_prep, warm,
-                                replace(params, zeta=sub_zeta, max_iterations=0))
+        try:
+            refined, trace = if_ipm(sub_prep, warm,
+                                    replace(params, zeta=sub_zeta, max_iterations=0))
+        except errors.NotInNeighborhood as exc:
+            # the warm start is derived from a valid run, so this is a
+            # numerical failure of the refinement, not an input error
+            raise errors.LeftNeighborhood(
+                f"loop {len(states) + 1}: rescaled warm start rejected: {exc}") from exc
         x_new = refined.x / scale
         y_new = current.y + refined.y / scale
         s_new = lp.c - lp.A.T @ y_new

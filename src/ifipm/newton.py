@@ -52,7 +52,6 @@ __all__ = [
     "recover_direction",
     "null_space_basis",
     "select_basis_mwb",
-    "recover_direction_mnes",
     "recover_direction_basis_scaled",
     "recover_direction_nes_procA",
     "recover_direction_oss",
@@ -332,41 +331,20 @@ def solve_target(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
 
 def recover_direction(system: AssembledSystem, solution: np.ndarray, it: Iterate,
                       prep: PreprocessedProgram) -> Direction:
-    """Direction from an assembly and a solve of it, by the kind's recovery."""
+    """Direction from an assembly and a solve of it, by the kind's recovery.
+
+    Every ``recover_direction_*`` takes these same arguments and reads the
+    solve's residual, where it needs one, off ``system``.
+    """
     return FORMULATIONS[system.kind].recover(system, solution, it, prep)
 
 
-def recover_direction_mnes(z_tilde: np.ndarray, r_hat: np.ndarray, it: Iterate,
-                           prep: PreprocessedProgram, beta: float,
-                           basis=None) -> Direction:
-    """Direction from a (possibly inexact) basis-scaled normal solve.
-
-    ``r_hat`` must equal ``M_hat z_tilde - sigma_hat``; the system is
-    re-assembled, and ``r_hat`` recomputed and cross-checked to 1e-8.
-    Passing ``basis`` recovers against a per-iteration basis (the
-    preconditioned variant); the default is the preprocessing basis.
-    The recovery itself is :func:`recover_direction_basis_scaled`.
-    """
-    basis_given = basis is not None and set(basis) != set(prep.basis)
-    kind = SystemKind.PNES if basis_given else SystemKind.MNES
-    system = _basis_products(kind, it, prep, beta, basis)
-    z_tilde = np.asarray(z_tilde, dtype=float)
-    r_hat = np.asarray(r_hat, dtype=float)
-    r_check = system.matrix @ z_tilde - system.rhs
-    if np.linalg.norm(r_check - r_hat, np.inf) > 1e-8 * (1.0 + np.linalg.norm(r_hat, np.inf)):
-        raise errors.ResidualMismatch(
-            "supplied residual disagrees with recomputation by "
-            f"{np.linalg.norm(r_check - r_hat, np.inf):.3e}")
-    return recover_direction_basis_scaled(system, z_tilde, r_hat, it, prep.base)
-
-
 def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
-                                   r_hat: np.ndarray, it: Iterate,
-                                   lp: LinearProgram) -> Direction:
+                                   it: Iterate, prep: PreprocessedProgram) -> Direction:
     """Direction from an MNES/PNES assembly and a solve of it.
 
-    ``r_hat = system.matrix @ z_tilde - system.rhs`` is taken as given.
-    With ``B``/``N`` the basis and nonbasic positions, the recovery is
+    With ``r_hat = system.matrix @ z_tilde - system.rhs`` and ``B``/``N``
+    the basis and nonbasic positions, the recovery is
 
         dy    = (basis_inverse)^T (z_tilde / d_B)
         v     = (d_B * r_hat) on B, 0 on N
@@ -389,6 +367,8 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     noise through the ``x/s`` scaling, which grows unbounded near the
     optimal face.)
     """
+    lp = prep.base
+    r_hat = system.matrix @ z_tilde - system.rhs
     basis = list(system.basis_used)
     N = system.nonbasic
     dy = system.basis_inverse.T @ (z_tilde / system.d_B)
@@ -412,59 +392,61 @@ def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram, eta: float) ->
     return eta * it.mu / (float(np.linalg.norm(it.s, np.inf)) * prep.A_norm)
 
 
-def recover_direction_nes_procA(dy_inexact: np.ndarray, r: np.ndarray, it: Iterate,
-                                prep: PreprocessedProgram, beta: float) -> Direction:
+def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Iterate,
+                                prep: PreprocessedProgram) -> Direction:
     """Direction from an inexact plain normal-equation solve.
 
-    The primal drift ``A dx = r`` is repaired with the dense minimum-norm
-    correction ``v = A^T (A A^T)^{-1} r``.
+    The primal drift ``A dx = r``, with ``r = system.matrix @ dy -
+    system.rhs``, is repaired with the dense minimum-norm correction
+    ``v = A^T (A A^T)^{-1} r``.
     """
     from .solvers import solve_exact
 
     lp = prep.base
-    r = np.asarray(r, dtype=float)
+    r = system.matrix @ dy - system.rhs
     u = solve_exact(prep.gram, r).solution
     v = lp.A.T @ u
-    dy = np.asarray(dy_inexact, dtype=float)
     ds = -lp.A.T @ dy
-    dx = beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
+    dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r, correction_v=v,
                      system=SystemKind.NES)
 
 
-def recover_direction_oss(dy: np.ndarray, lam: np.ndarray, it: Iterate,
-                          lp: LinearProgram, V: np.ndarray) -> Direction:
+def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Iterate,
+                          prep: PreprocessedProgram) -> Direction:
     """Direction from the orthogonal-subspaces formulation.
 
-    ``dx = V lam`` lies in the null space and ``ds = -A^T dy`` in the row
-    space, so primal and dual feasibility hold no matter how inexact the
-    solve was; any residual lands in the centering row alone.
+    The solution stacks ``(dy, lam)``. ``dx = V lam``, with ``V`` the
+    program's null-space basis, lies in the null space and
+    ``ds = -A^T dy`` in the row space, so primal and dual feasibility hold
+    no matter how inexact the solve was; any residual lands in the
+    centering row alone.
     """
-    dx = V @ np.asarray(lam, dtype=float)
-    ds = -lp.A.T @ np.asarray(dy, dtype=float)
+    lp = prep.base
     m = lp.m
-    return Direction(dx=dx, dy=np.asarray(dy, dtype=float), ds=ds,
+    dy, lam = solution[:m], solution[m:]
+    dx = prep.null_basis @ lam
+    ds = -lp.A.T @ dy
+    return Direction(dx=dx, dy=dy, ds=ds,
                      residual_hat=np.zeros(m), correction_v=np.zeros(lp.n),
                      system=SystemKind.OSS)
 
 
-def recover_direction_fns(solution: np.ndarray, it: Iterate,
-                          lp: LinearProgram) -> Direction:
+def recover_direction_fns(system: AssembledSystem, solution: np.ndarray, it: Iterate,
+                          prep: PreprocessedProgram) -> Direction:
     """Split a full-system solution vector into (dy, dx, ds)."""
-    m, n = lp.m, lp.n
-    sol = np.asarray(solution, dtype=float)
-    return Direction(dx=sol[m:m + n], dy=sol[:m], ds=sol[m + n:],
+    m, n = prep.base.m, prep.base.n
+    return Direction(dx=solution[m:m + n], dy=solution[:m], ds=solution[m + n:],
                      residual_hat=np.zeros(m), correction_v=np.zeros(n),
                      system=SystemKind.FNS)
 
 
-def recover_direction_as(solution: np.ndarray, it: Iterate, lp: LinearProgram,
-                         beta: float) -> Direction:
+def recover_direction_as(system: AssembledSystem, solution: np.ndarray, it: Iterate,
+                         prep: PreprocessedProgram) -> Direction:
     """Recover ds from an augmented-system solution via the centering row."""
-    m, n = lp.m, lp.n
-    sol = np.asarray(solution, dtype=float)
-    dy, dx = sol[:m], sol[m:]
-    ds = (beta * it.mu - it.x * it.s - it.s * dx) / it.x
+    m, n = prep.base.m, prep.base.n
+    dy, dx = solution[:m], solution[m:]
+    ds = (system.beta * it.mu - it.x * it.s - it.s * dx) / it.x
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=np.zeros(m),
                      correction_v=np.zeros(n), system=SystemKind.AS)
 
@@ -483,43 +465,28 @@ def _oss_target(it, prep, eta, theta) -> float:
     return eta * it.mu
 
 
-def _basis_scaled_direction(system, solution, it, prep) -> Direction:
-    r_hat = system.matrix @ solution - system.rhs
-    return recover_direction_basis_scaled(system, solution, r_hat, it, prep.base)
-
-
-def _nes_direction(system, solution, it, prep) -> Direction:
-    r = system.matrix @ solution - system.rhs
-    return recover_direction_nes_procA(solution, r, it, prep, system.beta)
-
-
-def _oss_direction(system, solution, it, prep) -> Direction:
-    m = prep.base.m
-    return recover_direction_oss(solution[:m], solution[m:], it, prep.base,
-                                 prep.null_basis)
-
-
 FORMULATIONS = {
     SystemKind.FNS: Formulation(
         False, False, lambda m, n: 2 * n + m, _assemble_fns, _base_target,
-        lambda system, solution, it, prep: recover_direction_fns(solution, it, prep.base)),
+        lambda *args: recover_direction_fns(*args)),
     SystemKind.AS: Formulation(
         True, False, lambda m, n: n + m, _assemble_as, _base_target,
-        lambda system, solution, it, prep: recover_direction_as(
-            solution, it, prep.base, system.beta)),
+        lambda *args: recover_direction_as(*args)),
     SystemKind.NES: Formulation(
-        True, True, lambda m, n: m, _assemble_nes, _nes_target, _nes_direction),
+        True, True, lambda m, n: m, _assemble_nes, _nes_target,
+        lambda *args: recover_direction_nes_procA(*args)),
     SystemKind.OSS: Formulation(
-        False, False, lambda m, n: n, _assemble_oss, _oss_target, _oss_direction),
+        False, False, lambda m, n: n, _assemble_oss, _oss_target,
+        lambda *args: recover_direction_oss(*args)),
     SystemKind.MNES: Formulation(
         True, True, lambda m, n: m,
         lambda kind, it, prep, beta: _basis_products(kind, it, prep, beta, None),
-        _base_target, _basis_scaled_direction),
+        _base_target, lambda *args: recover_direction_basis_scaled(*args)),
     SystemKind.PNES: Formulation(
         True, True, lambda m, n: m,
         lambda kind, it, prep, beta: _basis_products(
             kind, it, prep, beta, select_basis_mwb(it, prep.base.A)),
-        _base_target, _basis_scaled_direction),
+        _base_target, lambda *args: recover_direction_basis_scaled(*args)),
 }
 
 

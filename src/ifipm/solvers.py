@@ -1,7 +1,9 @@
 """Linear-system solving layer with an explicit residual contract.
 
-Every routine returns a :class:`SolveReport` whose ``achieved_residual``
-is recomputed from the returned solution, never taken from the method's
+The routines take ``(matrix, rhs, target_residual, ...)``, apart from
+:func:`solve_exact`, whose target is fixed. Every one returns a
+:class:`SolveReport` whose ``achieved_residual``, a 2-norm, is
+recomputed from the returned solution, never taken from the method's
 internal recurrence. The :func:`inexact_oracle` emulates a bounded-error
 solver: it never exceeds its residual target, which is the only property
 the interior point loop relies on. :func:`refine_linear` wraps any
@@ -22,11 +24,9 @@ import scipy.linalg
 from . import errors
 
 __all__ = [
-    "SolveRequest",
     "SolveReport",
     "solve_exact",
     "solve_cg",
-    "solve_pcg",
     "inexact_oracle",
     "refine_linear",
     "ExactSolver",
@@ -39,51 +39,29 @@ __all__ = [
 EXACT_RTOL = 1e-12  # solve_exact residual target, relative to 1 + ||rhs||
 
 
-def _norm(v: np.ndarray, norm: str) -> float:
-    if norm == "two":
-        return float(np.linalg.norm(v))
-    if norm == "inf":
-        return float(np.linalg.norm(v, np.inf)) if v.size else 0.0
-    raise errors.InvalidParameters(f"unknown norm {norm!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class SolveRequest:
-    """One linear solve M z = rhs with an absolute residual target."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    target_residual: float
-    norm: str = "two"
-    max_iterations: int = 0
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.target_residual <= 0:
-            raise errors.InvalidParameters("target_residual must be positive")
-        _norm(np.zeros(1), self.norm)
+def _check_target(target_residual: float) -> None:
+    if target_residual <= 0:
+        raise errors.InvalidParameters("target_residual must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solution plus its independently recomputed residual."""
+    """Solution plus its independently recomputed 2-norm residual."""
 
     solution: np.ndarray
     achieved_residual: float
     iterations: int
     method: str
-    norm: str = "two"
     converged: bool = True
 
 
-def _report(matrix, rhs, solution, iterations, method, norm="two", converged=True):
-    residual = _norm(rhs - matrix @ solution, norm)
+def _report(matrix, rhs, solution, iterations, method, converged=True):
+    residual = float(np.linalg.norm(rhs - matrix @ solution))
     return SolveReport(
         solution=solution,
         achieved_residual=residual,
         iterations=iterations,
         method=method,
-        norm=norm,
         converged=converged,
     )
 
@@ -143,36 +121,33 @@ def solve_exact(matrix: np.ndarray, rhs: np.ndarray) -> SolveReport:
     return _report(M, r0, z, 1, method)
 
 
-def solve_cg(req: SolveRequest) -> SolveReport:
+def solve_cg(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
+             max_iterations: int = 0,
+             precondition: Optional[Callable] = None) -> SolveReport:
     """Conjugate gradient for symmetric positive definite systems.
 
-    Stops at ``||rhs - M z|| <= target_residual`` in the requested norm or
-    at the iteration cap (report returned with ``converged=False``).
-    Raises :class:`~ifipm.errors.NotSPD` on detected negative curvature.
+    Stops at ``||rhs - M z|| <= target_residual`` or after
+    ``max_iterations`` (``0``: ten times the dimension), returning the
+    best iterate with ``converged=False``. ``precondition``, if given,
+    applies the inverse of a preconditioner to a vector once per
+    iteration. Raises :class:`~ifipm.errors.NotSPD` on detected negative
+    curvature.
     """
-    return _cg_core(req, precondition_apply=None)
-
-
-def solve_pcg(req: SolveRequest, precondition_apply: Callable) -> SolveReport:
-    """Preconditioned conjugate gradient; the operator is applied per iteration."""
-    return _cg_core(req, precondition_apply=precondition_apply)
-
-
-def _cg_core(req: SolveRequest, precondition_apply) -> SolveReport:
-    M = np.asarray(req.matrix, dtype=float)
-    rhs = np.asarray(req.rhs, dtype=float)
+    _check_target(target_residual)
+    M = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     if not _is_symmetric(M):
         raise errors.NotSPD("matrix is not symmetric")
     n = rhs.shape[0]
-    max_it = req.max_iterations if req.max_iterations > 0 else 10 * n
-    method = "pcg" if precondition_apply is not None else "cg"
+    max_it = max_iterations if max_iterations > 0 else 10 * n
+    method = "pcg" if precondition is not None else "cg"
 
     z = np.zeros(n)
     r = rhs.copy()
-    best_z, best_rn = z.copy(), _norm(r, req.norm)
-    if best_rn <= req.target_residual:
-        return _report(M, rhs, z, 0, method, req.norm)
-    w = precondition_apply(r) if precondition_apply is not None else r
+    best_z, best_rn = z.copy(), float(np.linalg.norm(r))
+    if best_rn <= target_residual:
+        return _report(M, rhs, z, 0, method)
+    w = precondition(r) if precondition is not None else r
     p = w.copy()
     rho = float(r @ w)
     iterations = 0
@@ -184,51 +159,52 @@ def _cg_core(req: SolveRequest, precondition_apply) -> SolveReport:
         alpha = rho / curvature
         z = z + alpha * p
         r = r - alpha * Mp
-        rn = _norm(r, req.norm)
+        rn = float(np.linalg.norm(r))
         if rn < best_rn:
             best_z, best_rn = z.copy(), rn
-        if rn <= req.target_residual:
-            return _report(M, rhs, z, iterations, method, req.norm)
-        w = precondition_apply(r) if precondition_apply is not None else r
+        if rn <= target_residual:
+            return _report(M, rhs, z, iterations, method)
+        w = precondition(r) if precondition is not None else r
         rho_new = float(r @ w)
         p = w + (rho_new / rho) * p
         rho = rho_new
-    return _report(M, rhs, best_z, iterations, method, req.norm, converged=False)
+    return _report(M, rhs, best_z, iterations, method, converged=False)
 
 
-def inexact_oracle(req: SolveRequest, mode: str = "random") -> SolveReport:
+def inexact_oracle(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
+                   mode: str = "random", seed: Optional[int] = None) -> SolveReport:
     """Bounded-residual solver emulating an inexact linear-system oracle.
 
     Computes the exact solution, then injects a controlled perturbation:
 
-    * ``random`` — a seeded random direction scaled so the achieved
-      residual lands in ``[0.5, 1.0] * target_residual``;
+    * ``random`` — a direction drawn from ``seed`` (``None``: 0), scaled
+      so the achieved residual lands in ``[0.5, 1.0] * target_residual``;
     * ``adversarial`` — the error aligned with the smallest singular
       direction of the matrix, scaled so the residual equals the target
       (shaved by 1e-9 relative so the hard bound is never crossed).
 
     The achieved residual never exceeds ``target_residual``.
     """
+    _check_target(target_residual)
     if mode not in ("random", "adversarial"):
         raise errors.InvalidParameters(f"unknown oracle mode {mode!r}")
-    M = np.asarray(req.matrix, dtype=float)
-    rhs = np.asarray(req.rhs, dtype=float)
-    tol = req.target_residual
+    M = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    tol = target_residual
     exact = solve_exact(M, rhs)
     if tol < 1e-15:
-        return _report(M, rhs, exact.solution, 1, f"oracle-{mode}-exact", req.norm)
+        return _report(M, rhs, exact.solution, 1, f"oracle-{mode}-exact")
     r0 = rhs - M @ exact.solution
-    base = _norm(r0, req.norm)
+    base = float(np.linalg.norm(r0))
     if base > tol:
         raise errors.SolverFailure(
             f"residual target {tol:g} unreachable (exact solve leaves {base:g})"
         )
 
     if mode == "random":
-        rng = np.random.default_rng(0 if req.seed is None else req.seed)
+        rng = np.random.default_rng(0 if seed is None else seed)
         u = rng.standard_normal(rhs.shape[0])
-        w = M @ u
-        wn = _norm(w, req.norm)
+        wn = float(np.linalg.norm(M @ u))
         if wn == 0.0:
             raise errors.SingularMatrix("random direction annihilated by matrix")
         t = rng.uniform(0.5, 0.98) * tol
@@ -239,26 +215,18 @@ def inexact_oracle(req: SolveRequest, mode: str = "random") -> SolveReport:
             raise errors.SingularMatrix("smallest singular value underflows")
         w_dir = M @ Vt[-1] / sig[-1]  # unit left singular vector of sigma_min
         tol_eff = tol * (1.0 - 1e-9)
-        if req.norm == "two":
-            c = float(r0 @ w_dir)
-            disc = c * c - base * base + tol_eff * tol_eff
-            a = c + math.sqrt(max(disc, 0.0))
-        else:
-            a = tol_eff  # rescaled below against the measured inf-norm
-            for _ in range(30):
-                measured = _norm(r0 - a * w_dir, req.norm)
-                if abs(measured - tol_eff) <= 1e-12 * tol_eff:
-                    break
-                a *= tol_eff / measured
+        c = float(r0 @ w_dir)
+        disc = c * c - base * base + tol_eff * tol_eff
+        a = c + math.sqrt(max(disc, 0.0))
         delta = (a / sig[-1]) * Vt[-1]
 
     z = exact.solution + delta
     for _ in range(60):  # hard contract: never exceed the target
-        if _norm(rhs - M @ z, req.norm) <= tol:
+        if float(np.linalg.norm(rhs - M @ z)) <= tol:
             break
         delta = 0.5 * delta
         z = exact.solution + delta
-    return _report(M, rhs, z, 1, f"oracle-{mode}", req.norm)
+    return _report(M, rhs, z, 1, f"oracle-{mode}")
 
 
 def refine_linear(
@@ -267,7 +235,6 @@ def refine_linear(
     rhs: np.ndarray,
     eps_outer: float,
     eps_inner: float,
-    norm: str = "two",
 ) -> SolveReport:
     """Residual-correction loop around a limited-precision inner solver.
 
@@ -285,9 +252,9 @@ def refine_linear(
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])
     r = b.copy()
-    rn = _norm(r, norm)
+    rn = float(np.linalg.norm(r))
     if rn <= eps_outer:
-        return _report(M, b, z, 0, "refine", norm)
+        return _report(M, b, z, 0, "refine")
     cap = math.ceil(math.log(eps_outer / rn) / math.log(eps_inner)) + 2
     stall_factor = (eps_inner + 0.5) / 1.5
     consecutive_slow = 0
@@ -298,7 +265,7 @@ def refine_linear(
         step = inner(M, r, eps_inner * rn)
         z = z + step.solution
         r = b - M @ z
-        new_rn = _norm(r, norm)
+        new_rn = float(np.linalg.norm(r))
         loops += 1
         if rn > 0 and new_rn / rn > stall_factor:
             consecutive_slow += 1
@@ -309,7 +276,7 @@ def refine_linear(
         else:
             consecutive_slow = 0
         rn = new_rn
-    return _report(M, b, z, loops, "refine", norm)
+    return _report(M, b, z, loops, "refine")
 
 
 # --- stateless solver handles -------------------------------------------
@@ -332,44 +299,30 @@ class ExactSolver:
 
 @dataclass(frozen=True)
 class CgSolver:
-    max_iterations: int = 0
-    norm: str = "two"
+    """Handle for :func:`solve_cg` with the default iteration cap."""
 
     def __call__(self, matrix, rhs, target_residual):
-        req = SolveRequest(matrix, rhs, target_residual, norm=self.norm,
-                           max_iterations=self.max_iterations)
-        return solve_cg(req)
+        return solve_cg(matrix, rhs, target_residual)
 
 
 @dataclass(frozen=True)
 class PcgSolver:
-    """CG with a diagonal (Jacobi) preconditioner by default."""
-
-    max_iterations: int = 0
-    norm: str = "two"
-    precondition: Optional[Callable] = None
+    """CG with a diagonal (Jacobi) preconditioner."""
 
     def __call__(self, matrix, rhs, target_residual):
-        req = SolveRequest(matrix, rhs, target_residual, norm=self.norm,
-                           max_iterations=self.max_iterations)
-        apply = self.precondition
-        if apply is None:
-            d = np.diag(np.asarray(matrix, dtype=float)).copy()
-            d[d <= 0] = 1.0
-            apply = lambda v: v / d
-        return solve_pcg(req, apply)
+        d = np.diag(np.asarray(matrix, dtype=float)).copy()
+        d[d <= 0] = 1.0
+        return solve_cg(matrix, rhs, target_residual, precondition=lambda v: v / d)
 
 
 @dataclass(frozen=True)
 class OracleSolver:
     mode: str = "random"
     seed: int = 0
-    norm: str = "two"
 
     def __call__(self, matrix, rhs, target_residual):
-        req = SolveRequest(matrix, rhs, target_residual, norm=self.norm,
-                           seed=_derived_seed(self.seed, np.asarray(rhs)))
-        return inexact_oracle(req, mode=self.mode)
+        return inexact_oracle(matrix, rhs, target_residual, mode=self.mode,
+                              seed=_derived_seed(self.seed, np.asarray(rhs)))
 
 
 @dataclass(frozen=True)
@@ -378,8 +331,6 @@ class RefiningSolver:
 
     inner: Callable = OracleSolver()
     eps_inner: float = 1e-1
-    norm: str = "two"
 
     def __call__(self, matrix, rhs, target_residual):
-        return refine_linear(self.inner, matrix, rhs, target_residual,
-                             self.eps_inner, norm=self.norm)
+        return refine_linear(self.inner, matrix, rhs, target_residual, self.eps_inner)

@@ -20,7 +20,7 @@ from ifipm import (
     if_ipm,
     ir_if_ipm,
     preprocess,
-    recover_direction_mnes,
+    recover_direction,
 )
 from ifipm.cli import ConditionTrace, main as cli_main, slope_fit
 from ifipm.solvers import OracleSolver, solve_exact
@@ -106,7 +106,7 @@ def test_criterion_2_residual_correction_lemma():
         r_hat *= bound / np.linalg.norm(r_hat, np.inf)
         sys = assemble(SystemKind.MNES, it, prep, beta=0.9)
         z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
-        d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, 0.9)
+        d = recover_direction(sys, z, it, prep)
         sv = float(np.linalg.norm(it.s * d.correction_v, np.inf))
         margin = sv - ETA * it.mu
         worst_margin = max(worst_margin, margin / it.mu)
@@ -294,7 +294,7 @@ def test_criterion_9_oracle_equivalence():
         beta = 1.0 - 0.2 / math.sqrt(inst.lp.n)
         sys = assemble(SystemKind.MNES, it, prep, beta)
         z = solve_exact(sys.matrix, sys.rhs).solution
-        d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, beta)
+        d = recover_direction(sys, z, it, prep)
         dx, dy, ds = dense_newton_direction(inst.lp, it, beta)
         scale = 1.0 + max(np.linalg.norm(dx), np.linalg.norm(dy), np.linalg.norm(ds))
         err = max(np.linalg.norm(d.dx - dx), np.linalg.norm(d.dy - dy),

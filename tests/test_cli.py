@@ -120,11 +120,17 @@ def test_missing_dimensions_is_input_error(tmp_path):
     assert run("trace", "--out", tmp_path / "t.csv") == 2
 
 
-def test_solver_failure_exit_code(tmp_path):
-    inst = tmp_path / "inst.json"
-    run("generate", "--m", 3, "--n", 6, "--seed", 4, "--out", inst)
+@pytest.mark.parametrize("generate_args, solve_args", [
     # plain CG cannot touch the nonsymmetric orthogonal-subspaces matrix
-    assert run("solve", "--instance", inst, "--system", "oss", "--solver", "cg",
+    (["--m", 3, "--n", 6, "--seed", 4], ["--system", "oss", "--solver", "cg"]),
+    # a refinement loop's rescaled warm start falls outside the neighborhood
+    (["--m", 10, "--n", 20, "--kappa", 1e6, "--mode", "known-optimal",
+      "--degenerate", "--seed", 51], ["--zeta", 1e-11, "--zeta-hat", 1e-2]),
+], ids=["oss-cg", "refine-warm-start"])
+def test_solver_failure_exit_code(tmp_path, generate_args, solve_args):
+    inst = tmp_path / "inst.json"
+    run("generate", *generate_args, "--out", inst)
+    assert run("solve", "--instance", inst, *solve_args,
                "--out", tmp_path / "s.json") == 1
 
 

@@ -22,14 +22,14 @@ from ifipm.solvers import ExactSolver, OracleSolver
 
 
 def test_check_parameters_beta_one_fails():
-    ok, details = check_parameters(50, 0.4, 0.1, 1.0)
-    assert not ok
+    details = check_parameters(50, 0.4, 0.1, 1.0)
+    assert not details.ok
     assert not details.con1_ok
 
 
 def test_check_parameters_validated_preset():
-    ok, details = check_parameters(100, 0.4, 0.1, 1.0 - 0.2 / 10.0)
-    assert ok
+    details = check_parameters(100, 0.4, 0.1, 1.0 - 0.2 / 10.0)
+    assert details.ok
     assert details.con1_lhs == pytest.approx(0.98)
     assert details.con1_rhs == pytest.approx(1.0 - 0.11 / 10.0)
     assert details.con2_lhs == pytest.approx(0.21 / (2**1.5 * 0.6) + 0.1)
@@ -40,10 +40,10 @@ def test_check_parameters_large_theta_fails_second_condition():
     # the often-quoted theta=0.7, eta=0.1 pair violates the second
     # condition for every n when beta = 1 - 0.2/sqrt(n)
     for n in (4, 100, 10000):
-        ok, details = check_parameters(n, 0.7, 0.1, 1.0 - 0.2 / math.sqrt(n))
+        details = check_parameters(n, 0.7, 0.1, 1.0 - 0.2 / math.sqrt(n))
         assert details.con1_ok
         assert not details.con2_ok
-        assert not ok
+        assert not details.ok
 
 
 def test_if_ipm_converges_with_exact_solver():

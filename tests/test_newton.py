@@ -16,7 +16,7 @@ from ifipm import (
     generate,
     null_space_basis,
     preprocess,
-    recover_direction_mnes,
+    recover_direction,
     recover_direction_nes_procA,
     recover_direction_oss,
     select_basis_mwb,
@@ -236,8 +236,7 @@ def test_mnes_exact_matches_dense_full_system(central_instance):
         it = feasible_iterate(rng, central_instance)
         sys = assemble(SystemKind.MNES, it, prep, beta)
         z = solve_exact(sys.matrix, sys.rhs).solution
-        r_hat = sys.matrix @ z - sys.rhs
-        direction = recover_direction_mnes(z, r_hat, it, prep, beta)
+        direction = recover_direction(sys, z, it, prep)
         dx, dy, ds = dense_newton_direction(lp, it, beta)
         scale = 1.0 + np.linalg.norm(dx)
         assert np.linalg.norm(direction.dx - dx) <= 1e-8 * scale
@@ -279,8 +278,7 @@ def test_recovered_step_stays_in_null_space(index, kind, log_mu, log_residual,
     r_hat = rng.standard_normal(lp.m)
     r_hat *= 10.0 ** log_residual * 0.1 * np.sqrt(mu) / np.linalg.norm(r_hat)
     z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
-    d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, 0.9,
-                               basis=sys.basis_used)
+    d = recover_direction(sys, z, it, prep)
     eps = np.finfo(float).eps
     bound = 4.0 * eps * np.linalg.norm(lp.A, np.inf) * (
         np.linalg.norm(it.x, np.inf) + np.linalg.norm(d.dx, np.inf))
@@ -291,18 +289,11 @@ def test_mnes_centered_zero_direction(central_instance):
     prep = preprocess(central_instance.lp)
     it = central_instance.start
     m = central_instance.lp.m
-    direction = recover_direction_mnes(np.zeros(m), np.zeros(m), it, prep, beta=1.0)
+    sys = assemble(SystemKind.MNES, it, prep, beta=1.0)
+    direction = recover_direction(sys, np.zeros(m), it, prep)
     assert np.linalg.norm(direction.dx, np.inf) <= 1e-10
     assert np.linalg.norm(direction.dy, np.inf) <= 1e-10
     assert np.linalg.norm(direction.ds, np.inf) <= 1e-10
-
-
-def test_mnes_residual_mismatch_detected(central_instance):
-    prep = preprocess(central_instance.lp)
-    it = central_instance.start
-    m = central_instance.lp.m
-    with pytest.raises(errors.ResidualMismatch):
-        recover_direction_mnes(np.zeros(m), np.ones(m), it, prep, beta=1.0)
 
 
 def test_residual_correction_bound(central_instance):
@@ -326,7 +317,7 @@ def test_residual_correction_bound(central_instance):
         r_hat *= bound / np.linalg.norm(r_hat, np.inf)
         sys = assemble(SystemKind.MNES, it, prep, beta=0.9)
         z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
-        direction = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, 0.9)
+        direction = recover_direction(sys, z, it, prep)
         sv = np.linalg.norm(it.s * direction.correction_v, np.inf)
         assert sv <= eta * it.mu * (1 + 1e-9)
         # the correction lives on the basis positions only
@@ -342,7 +333,7 @@ def test_proc_a_zero_residual_matches_exact(central_instance):
     beta = 0.9
     sys = assemble(SystemKind.NES, it, prep, beta)
     dy = solve_exact(sys.matrix, sys.rhs).solution
-    direction = recover_direction_nes_procA(dy, np.zeros(lp.m), it, prep, beta)
+    direction = recover_direction_nes_procA(sys, dy, it, prep)
     dx, dy_ref, ds = dense_newton_direction(lp, it, beta)
     assert np.linalg.norm(direction.dx - dx) <= 1e-8 * (1 + np.linalg.norm(dx))
     assert np.linalg.norm(direction.dy - dy_ref) <= 1e-8
@@ -359,7 +350,7 @@ def test_proc_a_correction_solves_av_equals_r(central_instance):
         # A v = r holds for any r; A dx = 0 needs r consistent with dy
         dy = rng.standard_normal(lp.m)
         r = sys.matrix @ dy - sys.rhs
-        direction = recover_direction_nes_procA(dy, r, it, prep, 0.9)
+        direction = recover_direction_nes_procA(sys, dy, it, prep)
         assert np.linalg.norm(lp.A @ direction.correction_v - r, np.inf) <= 1e-10
         assert np.linalg.norm(lp.A @ direction.dx, np.inf) <= 1e-9
 
@@ -375,21 +366,22 @@ def test_proc_a_admissibility_formula():
 
 def test_oss_zero_solution_zero_direction(central_instance):
     lp = central_instance.lp
-    V = null_space_basis(lp.A)
+    prep = preprocess(lp)
     it = central_instance.start
-    d = recover_direction_oss(np.zeros(lp.m), np.zeros(lp.n - lp.m), it, lp, V)
+    sys = assemble(SystemKind.OSS, it, prep, 0.9)
+    d = recover_direction_oss(sys, np.zeros(lp.n), it, prep)
     assert np.linalg.norm(d.dx) == 0.0
     assert np.linalg.norm(d.ds) == 0.0
 
 
 def test_oss_feasibility_unconditional(central_instance):
     lp = central_instance.lp
-    V = null_space_basis(lp.A)
+    prep = preprocess(lp)
     rng = np.random.default_rng(8)
     it = feasible_iterate(rng, central_instance)
+    sys = assemble(SystemKind.OSS, it, prep, 0.9)
     for _ in range(10):
-        d = recover_direction_oss(rng.standard_normal(lp.m),
-                                  rng.standard_normal(lp.n - lp.m), it, lp, V)
+        d = recover_direction_oss(sys, rng.standard_normal(lp.n), it, prep)
         assert np.linalg.norm(lp.A @ d.dx, np.inf) <= 1e-10
         assert np.linalg.norm(lp.A.T @ d.dy + d.ds, np.inf) <= 1e-10
 
@@ -402,7 +394,7 @@ def test_oss_exact_matches_dense_full_system(central_instance):
     beta = 0.9
     sys = assemble(SystemKind.OSS, it, prep, beta)
     sol = solve_exact(sys.matrix, sys.rhs).solution
-    d = recover_direction_oss(sol[:lp.m], sol[lp.m:], it, lp, prep.null_basis)
+    d = recover_direction_oss(sys, sol, it, prep)
     dx, dy, ds = dense_newton_direction(lp, it, beta)
     assert np.linalg.norm(d.dx - dx) <= 1e-8 * (1 + np.linalg.norm(dx))
     assert np.linalg.norm(d.dy - dy) <= 1e-8
@@ -417,7 +409,7 @@ def test_verify_direction_exact_step(central_instance):
     beta = 0.9
     sys = assemble(SystemKind.MNES, it, prep, beta)
     z = solve_exact(sys.matrix, sys.rhs).solution
-    d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, beta)
+    d = recover_direction(sys, z, it, prep)
     report = verify_direction(d, it, lp, beta, eta=0.1, theta=0.4)
     assert report.primal_residual <= 1e-8
     assert report.dual_residual <= 1e-8
@@ -437,7 +429,7 @@ def test_verify_direction_flags_missing_correction(central_instance):
     sys = assemble(SystemKind.MNES, it, prep, beta)
     r_hat = 1e-2 * rng.standard_normal(lp.m)
     z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
-    d = recover_direction_mnes(z, sys.matrix @ z - sys.rhs, it, prep, beta)
+    d = recover_direction(sys, z, it, prep)
     broken = replace(d, dx=d.dx + d.correction_v, correction_v=np.zeros(lp.n))
     report = verify_direction(broken, it, lp, beta, eta=0.1, theta=0.4)
     assert report.primal_residual > 1e-6  # drift is visible without v

@@ -6,12 +6,11 @@ from ifipm.solvers import (
     CgSolver,
     ExactSolver,
     OracleSolver,
-    SolveRequest,
+    PcgSolver,
     inexact_oracle,
     refine_linear,
     solve_cg,
     solve_exact,
-    solve_pcg,
 )
 
 
@@ -48,7 +47,7 @@ def test_solve_exact_singular_raises():
 
 
 def test_cg_identity_one_iteration():
-    rep = solve_cg(SolveRequest(np.eye(4), np.arange(1.0, 5.0), 1e-12))
+    rep = solve_cg(np.eye(4), np.arange(1.0, 5.0), 1e-12)
     assert rep.iterations == 1
     np.testing.assert_allclose(rep.solution, np.arange(1.0, 5.0), atol=1e-12)
 
@@ -57,26 +56,26 @@ def test_cg_converges_on_spd():
     rng = np.random.default_rng(1)
     M = random_spd(rng, 30, spread=100.0)
     b = rng.standard_normal(30)
-    rep = solve_cg(SolveRequest(M, b, 1e-9))
+    rep = solve_cg(M, b, 1e-9)
     assert rep.converged
     assert np.linalg.norm(b - M @ rep.solution) <= 1e-9
 
 
 def test_cg_indefinite_raises():
     with pytest.raises(errors.NotSPD):
-        solve_cg(SolveRequest(np.diag([1.0, -1.0]), np.array([1.0, 1.0]), 1e-8))
+        solve_cg(np.diag([1.0, -1.0]), np.array([1.0, 1.0]), 1e-8)
 
 
 def test_cg_nonsymmetric_raises():
     with pytest.raises(errors.NotSPD):
-        solve_cg(SolveRequest(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 1e-8))
+        solve_cg(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 1e-8)
 
 
 def test_cg_budget_returns_best_iterate():
     rng = np.random.default_rng(2)
     M = random_spd(rng, 40, spread=1e4)
     b = rng.standard_normal(40)
-    rep = solve_cg(SolveRequest(M, b, 1e-14, max_iterations=3))
+    rep = solve_cg(M, b, 1e-14, max_iterations=3)
     assert not rep.converged
     assert rep.iterations == 3
     assert rep.achieved_residual == pytest.approx(
@@ -88,10 +87,19 @@ def test_pcg_with_exact_preconditioner():
     M = random_spd(rng, 25, spread=1e6)
     b = rng.standard_normal(25)
     Minv = np.linalg.inv(M)
-    rep = solve_pcg(SolveRequest(M, b, 1e-10), lambda v: Minv @ v)
+    rep = solve_cg(M, b, 1e-10, precondition=lambda v: Minv @ v)
     assert rep.converged and rep.iterations <= 3
-    plain = solve_cg(SolveRequest(M, b, 1e-10))
+    plain = solve_cg(M, b, 1e-10)
     assert plain.iterations > rep.iterations
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    solve_cg, inexact_oracle, CgSolver(), PcgSolver(), OracleSolver(),
+], ids=["solve_cg", "inexact_oracle", "CgSolver", "PcgSolver", "OracleSolver"])
+def test_nonpositive_target_rejected(solve, target):
+    with pytest.raises(errors.InvalidParameters):
+        solve(np.eye(3), np.ones(3), target)
 
 
 def test_oracle_random_residual_window():
@@ -99,7 +107,7 @@ def test_oracle_random_residual_window():
     M = random_spd(rng, 12)
     b = rng.standard_normal(12)
     for seed in range(20):
-        rep = inexact_oracle(SolveRequest(M, b, 1e-3, seed=seed))
+        rep = inexact_oracle(M, b, 1e-3, seed=seed)
         assert 5e-4 <= rep.achieved_residual <= 1e-3
 
 
@@ -107,7 +115,7 @@ def test_oracle_tiny_target_degenerates_to_exact():
     rng = np.random.default_rng(5)
     M = random_spd(rng, 8)
     b = rng.standard_normal(8)
-    rep = inexact_oracle(SolveRequest(M, b, 1e-16, seed=0))
+    rep = inexact_oracle(M, b, 1e-16, seed=0)
     exact = solve_exact(M, b)
     np.testing.assert_array_equal(rep.solution, exact.solution)
 
@@ -117,7 +125,7 @@ def test_oracle_adversarial_hits_target_exactly():
     M = random_spd(rng, 10, spread=1e3)
     b = rng.standard_normal(10)
     target = 1e-4
-    rep = inexact_oracle(SolveRequest(M, b, target, seed=1), mode="adversarial")
+    rep = inexact_oracle(M, b, target, seed=1, mode="adversarial")
     assert rep.achieved_residual <= target
     assert rep.achieved_residual == pytest.approx(target, rel=1e-8)
 
@@ -127,8 +135,8 @@ def test_oracle_determinism():
     M = random_spd(rng, 9)
     b = rng.standard_normal(9)
     for mode in ("random", "adversarial"):
-        a = inexact_oracle(SolveRequest(M, b, 1e-5, seed=42), mode=mode)
-        b2 = inexact_oracle(SolveRequest(M, b, 1e-5, seed=42), mode=mode)
+        a = inexact_oracle(M, b, 1e-5, seed=42, mode=mode)
+        b2 = inexact_oracle(M, b, 1e-5, seed=42, mode=mode)
         np.testing.assert_array_equal(a.solution, b2.solution)
 
 
@@ -140,7 +148,7 @@ def test_oracle_never_exceeds_target():
         b = rng.standard_normal(n)
         target = 10.0 ** rng.uniform(-10, -1)
         mode = "adversarial" if trial % 2 else "random"
-        rep = inexact_oracle(SolveRequest(M, b, target, seed=trial), mode=mode)
+        rep = inexact_oracle(M, b, target, seed=trial, mode=mode)
         assert np.linalg.norm(b - M @ rep.solution) <= target
 
 
@@ -236,7 +244,7 @@ def test_cg_on_basis_preconditioned_system_vs_plain():
     def iterations(kind):
         sys = assemble(kind, it, prep, 0.9)
         tol = 1e-8 * (1.0 + np.linalg.norm(sys.rhs))
-        rep = solve_cg(SolveRequest(sys.matrix, sys.rhs, tol, max_iterations=100000))
+        rep = solve_cg(sys.matrix, sys.rhs, tol, max_iterations=100000)
         assert rep.converged
         return rep.iterations
 
