@@ -108,12 +108,13 @@ class Formulation:
 class AssembledSystem:
     """One Newton-system formulation: matrix, right-hand side, metadata.
 
-    The basis-scaled kinds also carry what their recovery consumes:
-    ``factor_E`` with ``matrix = factor_E @ factor_E.T``, the basis behind
-    it (``basis_used``, and ``nonbasic`` for the other columns in
-    increasing order), ``basis_inverse``, ``A_hat = basis_inverse @ A``
-    and ``d_B``, the scaling ``sqrt(x/s)`` on the basis. The
-    symmetry flags are those of the kind's :class:`Formulation`.
+    The basis-scaled kinds also carry what their recovery consumes: the
+    basis behind them (``basis_used``, an integer index array, and
+    ``nonbasic`` for the other columns in increasing order),
+    ``basis_inverse``, ``A_hat_N = basis_inverse @ A[:, nonbasic]``,
+    ``d_B``, the scaling ``sqrt(x/s)`` on the basis, and ``E_N``, the
+    scaled nonbasic block with ``matrix = I + E_N @ E_N.T``. The symmetry
+    flags are those of the kind's :class:`Formulation`.
     """
 
     kind: SystemKind
@@ -121,11 +122,11 @@ class AssembledSystem:
     rhs: np.ndarray
     mu: float
     beta: float
-    factor_E: Optional[np.ndarray] = None
-    basis_used: Optional[tuple] = None
+    E_N: Optional[np.ndarray] = None
+    basis_used: Optional[np.ndarray] = None
     nonbasic: Optional[np.ndarray] = None
     basis_inverse: Optional[np.ndarray] = None
-    A_hat: Optional[np.ndarray] = None
+    A_hat_N: Optional[np.ndarray] = None
     d_B: Optional[np.ndarray] = None
 
     @property
@@ -233,35 +234,42 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     :meth:`~ifipm.problem.PreprocessedProgram.basis_factors`, in
     increasing index order, so the system does not depend on the
     acceptance order or on whether the products were kept from an earlier
-    call. The scaled right-hand side is built from ``A_hat @ x``, not from
-    ``basis_inverse @ b``: with it, the solved system gives
-    ``A_hat dx = 0``, so recovery can take ``dx`` on the basis from ``dx``
-    off it. The ``b`` form would have the step also absorb the iterate's
-    float-level primal infeasibility, which that re-derivation discards.
+    call. The basis block of ``A_hat = basis_inverse @ A`` is the
+    identity, so with ``E_N = A_hat_N D_N / d_B`` the matrix is
+    ``I + E_N E_N^T`` and ``A_hat @ x = x_B + A_hat_N @ x_N``; only the
+    nonbasic block is multiplied. The scaled right-hand side is built from
+    ``A_hat @ x``, not from ``basis_inverse @ b``: with it, the solved
+    system gives ``A_hat dx = 0``, so recovery can take ``dx`` on the
+    basis from ``dx`` off it. The ``b`` form would have the step also
+    absorb the iterate's float-level primal infeasibility, which that
+    re-derivation discards.
     """
     if basis is None or set(basis) == set(prep.basis):
-        basis, nonbasic = prep.basis, prep.nonbasic
-        basis_inverse, A_hat = prep.basis_inverse, prep.A_hat
+        B, N = prep.basis_index, prep.nonbasic
+        basis_inverse, A_hat_N = prep.basis_inverse, prep.A_hat_N
     else:
-        basis, nonbasic, basis_inverse, A_hat = prep.basis_factors(basis)
+        B, N, basis_inverse, A_hat_N = prep.basis_factors(basis)
     d = it.scaling()
-    d_B = d[list(basis)]
-    E = A_hat * d
-    E /= d_B[:, None]
-    matrix = E @ E.T
-    matrix = 0.5 * (matrix + matrix.T)
-    sigma_hat = (A_hat @ it.x - beta * it.mu * (A_hat @ (1.0 / it.s))) / d_B
+    d_B = d[B]
+    E_N = A_hat_N * d[N]
+    E_N /= d_B[:, None]
+    # numpy evaluates E_N @ E_N.T as one symmetric rank-k update (syrk),
+    # so the matrix is exactly symmetric without a 0.5 * (M + M.T) pass
+    matrix = E_N @ E_N.T
+    matrix.flat[::matrix.shape[0] + 1] += 1.0
+    x, inv_s, weight = it.x, 1.0 / it.s, beta * it.mu
+    sigma_hat = (x[B] + A_hat_N @ x[N] - weight * (inv_s[B] + A_hat_N @ inv_s[N])) / d_B
     return AssembledSystem(
         kind=kind,
         matrix=matrix,
         rhs=sigma_hat,
         mu=it.mu,
         beta=beta,
-        factor_E=E,
-        basis_used=basis,
-        nonbasic=nonbasic,
+        E_N=E_N,
+        basis_used=B,
+        nonbasic=N,
         basis_inverse=basis_inverse,
-        A_hat=A_hat,
+        A_hat_N=A_hat_N,
         d_B=d_B,
     )
 
@@ -314,8 +322,9 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     The matrix and right-hand side follow the defining equations
     literally. MNES uses the fixed preprocessing basis; PNES reselects
     the maximum-weight basis on every call. OSS uses the program's
-    null-space basis. Symmetric kinds are built as ``0.5 * (M + M.T)``
-    and so are exactly symmetric. Raises
+    null-space basis. Symmetric kinds are exactly symmetric: AS and NES
+    are built as ``0.5 * (M + M.T)``, MNES and PNES as ``I + E_N E_N^T``
+    from one symmetric product. Raises
     :class:`~ifipm.errors.SingularDiagonal` on boundary iterates.
     """
     if not it.is_interior:
@@ -350,17 +359,18 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
         v     = (d_B * r_hat) on B, 0 on N
         ds    = -A^T dy
         dx    = beta mu / s - x - (x/s) ds - v
-        dx[B] = -A_hat[:, N] @ dx[N]
+        dx[B] = -A_hat_N @ dx[N]
         dx[B] -= basis_inverse @ (A @ dx)
 
-    In exact arithmetic the last two lines change nothing: ``A_hat dx = 0``
-    already holds. In floating point the formula's terms on ``B`` are
-    orders of magnitude larger than the result when ``||v||`` is large,
-    and their cancellation would leave ``A dx`` at ``eps * ||v||``;
-    taking ``dx[B]`` from ``dx[N]`` keeps ``A dx`` at the rounding level of
-    ``dx`` itself, and one residual-correction pass removes what the
-    rounding of ``A_hat`` leaves. The step perturbs only the centering
-    row, by ``-S v``.
+    In exact arithmetic the last two lines change nothing:
+    ``basis_inverse @ A @ dx = dx[B] + A_hat_N @ dx[N] = 0`` already
+    holds. In floating point the formula's terms on ``B`` are orders of
+    magnitude larger than the result when ``||v||`` is large, and their
+    cancellation would leave ``A dx`` at ``eps * ||v||``; taking ``dx[B]``
+    from ``dx[N]`` keeps ``A dx`` at the rounding level of ``dx`` itself,
+    and one residual-correction pass removes what the rounding of
+    ``A_hat_N`` leaves. The step perturbs only the centering row, by
+    ``-S v``.
     (On dual-feasible iterates ``-A^T dy`` equals the
     infeasibility-restoring form ``c - A^T y - s - A^T dy``; the plain
     form is used because the restoring variant feeds machine-level dual
@@ -369,15 +379,14 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     """
     lp = prep.base
     r_hat = system.matrix @ z_tilde - system.rhs
-    basis = list(system.basis_used)
-    N = system.nonbasic
+    B, N = system.basis_used, system.nonbasic
     dy = system.basis_inverse.T @ (z_tilde / system.d_B)
     v = np.zeros(lp.n)
-    v[basis] = system.d_B * r_hat
+    v[B] = system.d_B * r_hat
     ds = -lp.A.T @ dy
     dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
-    dx[basis] = -system.A_hat[:, N] @ dx[N]
-    dx[basis] -= system.basis_inverse @ (lp.A @ dx)
+    dx[B] = -system.A_hat_N @ dx[N]
+    dx[B] -= system.basis_inverse @ (lp.A @ dx)
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
                      system=system.kind)
 

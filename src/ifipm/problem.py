@@ -115,24 +115,27 @@ class Iterate:
 class PreprocessedProgram:
     """A program together with a fixed basis and its derived products.
 
-    ``basis`` lists m column indices whose submatrix is invertible and
-    ``nonbasic`` the remaining n - m in increasing order;
-    ``basis_inverse`` is that submatrix's inverse and
-    ``A_hat = basis_inverse @ A`` (identity on the basis columns). The
-    cached properties are per-program constants that some Newton-system
-    kinds need, each computed on first use. :meth:`basis_factors` gives
-    the same products for any other basis and keeps the last one.
+    ``basis`` lists m column indices whose submatrix is invertible,
+    ``basis_index`` holds them as an integer index array and ``nonbasic``
+    the remaining n - m in increasing order; ``basis_inverse`` is that
+    submatrix's inverse and ``A_hat_N = basis_inverse @ A[:, nonbasic]``
+    the nonbasic block of the basis-scaled matrix ``basis_inverse @ A``,
+    whose basis block is the identity and is not stored. The cached
+    properties are per-program constants that some Newton-system kinds
+    need, each computed on first use. :meth:`basis_factors` gives the same
+    products for any other basis and keeps the last one.
     """
 
     base: LinearProgram
     basis: tuple
+    basis_index: np.ndarray
     nonbasic: np.ndarray
     basis_inverse: np.ndarray
-    A_hat: np.ndarray
+    A_hat_N: np.ndarray
     _basis_memo: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def basis_factors(self, basis) -> tuple:
-        """``(basis, nonbasic, basis_inverse, A_hat)`` for another basis.
+        """``(basis_index, nonbasic, basis_inverse, A_hat_N)`` for another basis.
 
         The products are built for the basis in increasing order, whatever
         the order of ``basis``, and the last set asked for is kept: a
@@ -143,10 +146,9 @@ class PreprocessedProgram:
         key = tuple(sorted(int(j) for j in basis))
         memo = self._basis_memo
         if memo is None or memo[0] != key:
-            basis_inverse, A_hat = _inverse_products(self.base.A, key)
-            memo = (key, nonbasic_indices(key, self.base.n), basis_inverse, A_hat)
+            memo = (key, *_inverse_products(self.base.A, key))
             object.__setattr__(self, "_basis_memo", memo)
-        return memo
+        return memo[1:]
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -220,28 +222,25 @@ def _auto_basis(A: np.ndarray) -> list:
 
 
 def _inverse_products(A: np.ndarray, basis) -> tuple:
-    """``basis_inverse`` of ``A[:, basis]`` and ``A_hat = basis_inverse @ A``.
+    """``(basis_index, nonbasic, basis_inverse, A_hat_N)`` of one basis.
 
-    One residual-correction pass on the product pushes ``A_B @ A_hat - A``
-    from the ``eps * kappa(A_B)`` level down to machine level, which keeps
-    the per-step feasibility drift of the basis-corrected directions flat
-    on ill-conditioned instances.
+    ``basis_inverse`` inverts ``A[:, basis]`` and ``A_hat_N =
+    basis_inverse @ A[:, nonbasic]``. One residual-correction pass on the
+    product pushes ``A_B @ A_hat_N - A_N`` from the ``eps * kappa(A_B)``
+    level down to machine level, which keeps the per-step feasibility
+    drift of the basis-corrected directions flat on ill-conditioned
+    instances.
     """
-    A_B = A[:, list(basis)]
+    basis_index = np.array(basis, dtype=np.intp)
+    nonbasic = np.setdiff1d(np.arange(A.shape[1]), basis_index)
+    A_B, A_N = A[:, basis_index], A[:, nonbasic]
     try:
         basis_inverse = np.linalg.inv(A_B)
     except np.linalg.LinAlgError as exc:
         raise errors.SingularBasis(str(exc)) from exc
-    A_hat = basis_inverse @ A
-    A_hat += basis_inverse @ (A - A_B @ A_hat)
-    return basis_inverse, A_hat
-
-
-def nonbasic_indices(basis, n: int) -> np.ndarray:
-    """Increasing indices in ``range(n)`` that ``basis`` does not hold."""
-    outside = np.ones(n, dtype=bool)
-    outside[list(basis)] = False
-    return np.flatnonzero(outside)
+    A_hat_N = basis_inverse @ A_N
+    A_hat_N += basis_inverse @ (A_N - A_B @ A_hat_N)
+    return basis_index, nonbasic, basis_inverse, A_hat_N
 
 
 def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
@@ -262,11 +261,4 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
     if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
         raise errors.SingularBasis("supplied basis columns are linearly dependent")
-    basis_inverse, A_hat = _inverse_products(lp.A, basis)
-    return PreprocessedProgram(
-        base=lp,
-        basis=tuple(basis),
-        nonbasic=nonbasic_indices(basis, lp.n),
-        basis_inverse=basis_inverse,
-        A_hat=A_hat,
-    )
+    return PreprocessedProgram(lp, tuple(basis), *_inverse_products(lp.A, basis))

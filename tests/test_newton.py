@@ -82,8 +82,8 @@ def test_mnes_matrix_is_factor_product(central_instance):
     it = interior_iterate(rng, central_instance.lp)
     for kind in (SystemKind.MNES, SystemKind.PNES):
         sys = assemble(kind, it, prep, beta=0.9)
-        np.testing.assert_allclose(sys.matrix, sys.factor_E @ sys.factor_E.T,
-                                   atol=1e-10)
+        np.testing.assert_allclose(sys.matrix, np.eye(sys.matrix.shape[0])
+                                   + sys.E_N @ sys.E_N.T, atol=1e-10)
         assert sys.basis_used is not None
 
 
@@ -212,7 +212,7 @@ def test_pnes_assembly_independent_of_kept_factors(central_instance):
     warm = assemble(SystemKind.PNES, it, warm_prep, beta=0.9)
     np.testing.assert_array_equal(warm.matrix, cold.matrix)
     np.testing.assert_array_equal(warm.rhs, cold.rhs)
-    np.testing.assert_array_equal(warm.A_hat, cold.A_hat)
+    np.testing.assert_array_equal(warm.A_hat_N, cold.A_hat_N)
 
 
 def test_mwb_recovers_optimal_partition(optimal_instance):
@@ -255,6 +255,16 @@ def _recovery_instances():
     return [(lp, preprocess(lp)) for lp in programs]
 
 
+def _spread_iterate(rng, lp, log_mu, log_spread):
+    """Interior iterate with measure mu and x spread over 10^(+-log_spread)."""
+    mu = 10.0 ** log_mu
+    x = rng.uniform(0.2, 3.0, lp.n) * 10.0 ** rng.uniform(-log_spread, log_spread, lp.n)
+    deviation = rng.standard_normal(lp.n)
+    deviation -= deviation.mean()
+    deviation *= 0.4 * mu * rng.uniform() / np.linalg.norm(deviation)
+    return x, rng.standard_normal(lp.m), (mu + deviation) / x
+
+
 @settings(max_examples=200, deadline=None)
 @given(index=st.integers(0, 3), kind=st.sampled_from([SystemKind.MNES, SystemKind.PNES]),
        log_mu=st.floats(-10.0, 0.0), log_residual=st.floats(-3.0, 3.0),
@@ -269,11 +279,7 @@ def test_recovered_step_stays_in_null_space(index, kind, log_mu, log_residual,
     lp, prep = _recovery_instances()[index]
     rng = np.random.default_rng(seed)
     mu = 10.0 ** log_mu
-    x = rng.uniform(0.2, 3.0, lp.n) * 10.0 ** rng.uniform(-log_spread, log_spread, lp.n)
-    deviation = rng.standard_normal(lp.n)
-    deviation -= deviation.mean()
-    deviation *= 0.4 * mu * rng.uniform() / np.linalg.norm(deviation)
-    it = Iterate(x, rng.standard_normal(lp.m), (mu + deviation) / x)
+    it = Iterate(*_spread_iterate(rng, lp, log_mu, log_spread))
     sys = assemble(kind, it, prep, beta=0.9)
     r_hat = rng.standard_normal(lp.m)
     r_hat *= 10.0 ** log_residual * 0.1 * np.sqrt(mu) / np.linalg.norm(r_hat)
@@ -283,6 +289,118 @@ def test_recovered_step_stays_in_null_space(index, kind, log_mu, log_residual,
     bound = 4.0 * eps * np.linalg.norm(lp.A, np.inf) * (
         np.linalg.norm(it.x, np.inf) + np.linalg.norm(d.dx, np.inf))
     assert np.linalg.norm(lp.A @ d.dx, np.inf) <= bound
+
+
+def _reference_basis_scaled(it, lp, basis, A_hat_N, beta):
+    """The full-width assembly and recovery the nonbasic-block ones replaced.
+
+    ``A_hat`` is the whole basis-scaled matrix, the identity on ``basis``
+    and ``A_hat_N`` off it; the system is ``E E^T`` with ``E = A_hat D / d_B``, symmetrized, and
+    the right-hand side ``(A_hat x - beta mu A_hat s^{-1}) / d_B``.
+    """
+    m, n = lp.m, lp.n
+    N = np.setdiff1d(np.arange(n), basis)
+    A_hat = np.zeros((m, n))
+    A_hat[:, basis] = np.eye(m)
+    A_hat[:, N] = A_hat_N
+    d = it.scaling()
+    d_B = d[basis]
+    E = A_hat * d / d_B[:, None]
+    matrix = E @ E.T
+    matrix = 0.5 * (matrix + matrix.T)
+    rhs = (A_hat @ it.x - beta * it.mu * (A_hat @ (1.0 / it.s))) / d_B
+    basis_inverse = np.linalg.inv(lp.A[:, basis])
+
+    def recover(z):
+        r_hat = matrix @ z - rhs
+        dy = basis_inverse.T @ (z / d_B)
+        v = np.zeros(n)
+        v[basis] = d_B * r_hat
+        ds = -lp.A.T @ dy
+        dx = beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
+        dx[basis] = -A_hat[:, N] @ dx[N]
+        dx[basis] -= basis_inverse @ (lp.A @ dx)
+        return dx, dy, ds, r_hat
+
+    return matrix, rhs, A_hat, basis_inverse, recover
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 3), path=st.sampled_from(["mnes", "pnes-kept", "pnes-changed"]),
+       log_mu=st.floats(-10.0, 0.0), log_residual=st.floats(-3.0, 3.0),
+       log_spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_residual,
+                                                     log_spread, seed):
+    # I + E_N E_N^T and x_B + A_hat_N x_N are the full-width E E^T and
+    # A_hat x with the identity block multiplied out, so both sides agree
+    # to rounding; "pnes-kept" selects the preprocessing basis set,
+    # "pnes-changed" another one, whose products basis_factors builds
+    lp, prep = _recovery_instances()[index]
+    rng = np.random.default_rng(seed)
+    x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
+    if path != "mnes":
+        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.nonbasic))]
+        x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
+    it = Iterate(x, y, s)
+    beta = 0.9
+    kind = SystemKind.MNES if path == "mnes" else SystemKind.PNES
+    sys = assemble(kind, it, prep, beta)
+    basis = list(prep.basis)
+    if path == "pnes-changed":
+        basis = sorted(select_basis_mwb(it, lp.A))
+        assert set(basis) != set(prep.basis)
+    assert sys.basis_used.tolist() == basis
+
+    eps = np.finfo(float).eps
+    tol = lp.n * eps
+    matrix, rhs, A_hat, basis_inverse, recover = _reference_basis_scaled(
+        it, lp, basis, sys.A_hat_N, beta)
+    # the stored block is the old full-width product's nonbasic block
+    A_B = lp.A[:, basis]
+    full = basis_inverse @ lp.A
+    full += basis_inverse @ (lp.A - A_B @ full)
+    np.testing.assert_allclose(full[:, sys.nonbasic], sys.A_hat_N, rtol=0,
+                               atol=tol * np.linalg.cond(A_B) * np.abs(full).max())
+
+    assert np.abs(sys.matrix - matrix).max() <= tol * np.abs(matrix).max()
+    terms = (np.abs(A_hat) @ np.abs(it.x)
+             + beta * it.mu * (np.abs(A_hat) @ (1.0 / it.s))) / it.scaling()[basis]
+    assert np.abs(sys.rhs - rhs).max() <= tol * terms.max()
+
+    r_hat = rng.standard_normal(lp.m)
+    r_hat *= 10.0 ** log_residual * 0.1 * np.sqrt(it.mu) / np.linalg.norm(r_hat)
+    z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
+    d = recover_direction(sys, z, it, prep)
+    dx, dy, ds, r_ref = recover(z)
+    product = np.linalg.norm(matrix, np.inf) * np.linalg.norm(z, np.inf)
+    assert np.abs(d.residual_hat - r_ref).max() <= tol * (product + np.abs(rhs).max())
+    assert np.abs(d.dy - dy).max() <= tol * np.abs(dy).max()
+    assert np.abs(d.ds - ds).max() <= tol * np.abs(ds).max()
+    # dx on the basis cancels terms as large as |A_hat| |dx|
+    dx_terms = np.abs(A_hat) @ np.abs(dx) + np.abs(basis_inverse) @ (np.abs(lp.A) @ np.abs(dx))
+    assert np.abs(d.dx - dx).max() <= tol * dx_terms.max()
+    bound = 4.0 * eps * np.linalg.norm(lp.A, np.inf) * (
+        np.linalg.norm(it.x, np.inf) + np.linalg.norm(d.dx, np.inf))
+    assert np.linalg.norm(lp.A @ d.dx, np.inf) <= bound
+
+
+@pytest.mark.parametrize("m, n", [(4, 9), (120, 240)])
+@pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
+def test_basis_scaled_matrix_structure(kind, m, n):
+    # exactly symmetric, so the solvers' exact-equality test takes it as
+    # symmetric, and lambda_min >= 1 up to rounding: the identity block
+    # behind the conditioning bounds of MNES and PNES
+    inst = generate(GeneratorSpec(m=m, n=n, kappa_target=1e4, mode="known-optimal",
+                                  degenerate=True, seed=m))
+    lp, prep = inst.lp, preprocess(inst.lp)
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    for log_spread in (0.0, 0.5, 1.0, 2.0):
+        it = Iterate(*_spread_iterate(rng, lp, -2.0, log_spread))
+        sys = assemble(kind, it, prep, beta=0.9)
+        assert np.array_equal(sys.matrix, sys.matrix.T)
+        norm = np.linalg.norm(sys.matrix, 2)
+        assert np.linalg.eigvalsh(sys.matrix).min() >= 1.0 - m * eps * norm
 
 
 def test_mnes_centered_zero_direction(central_instance):
