@@ -13,30 +13,10 @@ README's *Numerical limits*); every kind's condition number is still
 recorded along the PNES trajectory.
 """
 
-from ifipm import GeneratorSpec, IpmParams, SystemKind, assemble, condition_number
-from ifipm import generate, if_ipm, preprocess
-from ifipm.cli import ConditionTrace, slope_fit, write_condition_trace
+from ifipm import GeneratorSpec, IpmParams, SystemKind, generate, preprocess
+from ifipm.cli import TRACE_KINDS, condition_trace, slope_fit, write_condition_trace
 
-KINDS = [SystemKind.FNS, SystemKind.AS, SystemKind.NES, SystemKind.OSS,
-         SystemKind.MNES, SystemKind.PNES]
-
-
-def trace(inst, zeta=1e-7):
-    prep = preprocess(inst.lp)
-    params = IpmParams(zeta=zeta, system=SystemKind.PNES)
-    beta = params.resolve_beta(inst.lp.n)
-    rows = []
-
-    def observer(k, it, system, direction, new_it):
-        row = {"k": k, "mu": it.mu}
-        for kind in KINDS:
-            sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
-            row[f"kappa_{kind.name}"] = condition_number(sys_k)
-        rows.append(row)
-
-    if_ipm(prep, inst.start, params, observer=observer)
-    return ConditionTrace(tuple(rows))
-
+PARAMS = IpmParams(zeta=1e-7, system=SystemKind.PNES)
 
 regimes = {
     "nondegenerate_k10": GeneratorSpec(m=4, n=9, kappa_target=10.0,
@@ -50,7 +30,8 @@ regimes = {
 }
 
 for name, spec in regimes.items():
-    t = trace(generate(spec))
+    inst = generate(spec)
+    t = condition_trace(preprocess(inst.lp), inst.start, PARAMS, TRACE_KINDS)
     path = f"trace_{name}.csv"
     write_condition_trace(path, t)
     last = t.rows[-1]

@@ -18,10 +18,10 @@ from ifipm import (
     chi_bar,
     condition_number,
     generate,
-    if_ipm,
     preprocess,
     select_basis_mwb,
 )
+from ifipm.cli import condition_trace
 from ifipm.solvers import solve_cg
 
 inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
@@ -29,16 +29,9 @@ inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
 prep = preprocess(inst.lp)
 params = IpmParams(zeta=1e-6)
 beta = params.resolve_beta(inst.lp.n)
-max_nes = max_pnes = 0.0
-
-
-def observer(k, it, system, direction, new_it):
-    global max_nes, max_pnes
-    max_nes = max(max_nes, condition_number(assemble(SystemKind.NES, it, prep, beta)))
-    max_pnes = max(max_pnes, condition_number(assemble(SystemKind.PNES, it, prep, beta)))
-
-
-if_ipm(prep, inst.start, params, observer=observer)
+trace = condition_trace(prep, inst.start, params, [SystemKind.NES, SystemKind.PNES])
+max_nes = max(row["kappa_NES"] for row in trace.rows)
+max_pnes = max(row["kappa_PNES"] for row in trace.rows)
 print(f"kappa(A) = 1e6 nondegenerate run to mu <= 1e-6:")
 print(f"  max kappa, plain normal equations: {max_nes:.3e}")
 print(f"  max kappa, basis-preconditioned:   {max_pnes:.3e}")

@@ -27,8 +27,8 @@ from .newton import SystemKind, assemble, condition_number
 from .problem import Iterate, preprocess, residuals
 from .solvers import CgSolver, ExactSolver, OracleSolver, PcgSolver, RefiningSolver
 
-__all__ = ["main", "ConditionTrace", "slope_fit", "read_condition_trace",
-           "write_condition_trace"]
+__all__ = ["main", "ConditionTrace", "condition_trace", "slope_fit",
+           "read_condition_trace", "write_condition_trace"]
 
 #: CSV column order for condition traces (all kinds, always)
 TRACE_KINDS = [SystemKind.FNS, SystemKind.AS, SystemKind.NES,
@@ -62,10 +62,31 @@ class ConditionTrace:
     """Per-iteration condition numbers of the requested formulations.
 
     ``rows`` are dicts keyed by the trace CSV header; kinds that were not
-    requested hold None.
+    requested are absent (a trace read back from CSV holds None for them).
     """
 
     rows: tuple
+
+
+def condition_trace(prep, start: Iterate, params: IpmParams, kinds) -> ConditionTrace:
+    """Run ``if_ipm`` and record the condition number of each of ``kinds``.
+
+    At every iterate the loop's own system (``params.system``) is reused
+    for its kind and every other kind is assembled at that iterate; one
+    row per accepted step, ``{"k", "mu", "kappa_<KIND>"...}``.
+    """
+    beta = params.resolve_beta(prep.base.n)
+    rows = []
+
+    def observer(k, it, system, direction, new_it):
+        row = {"k": k, "mu": it.mu}
+        for kind in kinds:
+            sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
+            row[f"kappa_{kind.name}"] = condition_number(sys_k)
+        rows.append(row)
+
+    if_ipm(prep, start, params, observer=observer)
+    return ConditionTrace(tuple(rows))
 
 
 def slope_fit(trace: ConditionTrace, column, mu_window) -> float:
@@ -257,29 +278,12 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     lp, start, basis = _single_instance(args)
-    requested = [SystemKind.parse(name) for name in (args.system or [])]
-    if not requested:
-        requested = list(TRACE_KINDS)
-    primary = requested[0]
-    params = _params_from_args(args, primary)
-    prep = preprocess(lp, basis)
-    beta = params.resolve_beta(lp.n)
-    rows = []
-
-    def observer(k, it, system, direction, new_it):
-        row = {"k": k, "mu": it.mu}
-        for kind in TRACE_KINDS:
-            if kind in requested:
-                sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
-                row[f"kappa_{kind.name}"] = condition_number(sys_k)
-            else:
-                row[f"kappa_{kind.name}"] = None
-        rows.append(row)
-
-    if_ipm(prep, start, params, observer=observer)
-    trace = ConditionTrace(tuple(rows))
+    requested = [SystemKind.parse(name) for name in args.system or []] or TRACE_KINDS
+    kinds = [kind for kind in TRACE_KINDS if kind in requested]
+    params = _params_from_args(args, requested[0])  # the first --system drives the loop
+    trace = condition_trace(preprocess(lp, basis), start, params, kinds)
     write_condition_trace(args.out, trace)
-    print(f"{len(rows)} iterations -> {args.out}")
+    print(f"{len(trace.rows)} iterations -> {args.out}")
     return 0
 
 

@@ -181,7 +181,6 @@ class RefinementState:
     """
 
     scale: float
-    accumulated: Iterate
     loop_index: int
     gap: float
     mu: float
@@ -317,7 +316,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
                                                  max_iterations=0))
     gap = float(current.x @ current.s)
     states = [RefinementState(
-        scale=1.0, accumulated=current, loop_index=1, gap=gap,
+        scale=1.0, loop_index=1, gap=gap,
         mu=gap / lp.n, inner_iterations=len(trace.records),
         max_kappa=trace.max_kappa)]
 
@@ -342,11 +341,14 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
                 f"loop {len(states) + 1}: rescaled warm start rejected: {exc}") from exc
         x_new = refined.x / scale
         y_new = current.y + refined.y / scale
-        s_new = lp.c - lp.A.T @ y_new
+        # the subproblem's own slack equals c - A^T y_new in exact
+        # arithmetic and is positive because ``refined`` passed the
+        # neighborhood check; c - A^T y_new itself can cancel to <= 0
+        s_new = refined.s / scale
         current = Iterate(x_new, y_new, s_new)
         gap = float(current.x @ current.s)
         states.append(RefinementState(
-            scale=scale, accumulated=current, loop_index=len(states) + 1,
+            scale=scale, loop_index=len(states) + 1,
             gap=gap, mu=gap / lp.n, inner_iterations=len(trace.records),
             max_kappa=trace.max_kappa))
         if gap / lp.n > zeta and gap > 2.0 * zeta_hat * prev_gap:

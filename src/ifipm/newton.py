@@ -21,8 +21,8 @@ acts as a preconditioner. For both, an inexact solve with residual
 basis-supported correction ``v = (D_B r_hat, 0)``.
 
 Each kind is one :class:`Formulation` record in :data:`FORMULATIONS`:
-its flags and size, its assembly, the residual target its solve must
-meet and the recovery of a direction from that solve. The loop reaches
+its flags, its assembly, the residual target its solve must meet and
+the recovery of a direction from that solve. The loop reaches
 them through :func:`assemble`, :func:`solve_target` and
 :func:`recover_direction`.
 """
@@ -86,11 +86,11 @@ class SystemKind(enum.Enum):
 class Formulation:
     """Everything the loop knows about one Newton-system kind.
 
-    :data:`FORMULATIONS` holds one record per kind. ``size(m, n)`` is the
-    system dimension. ``build(kind, it, prep, beta)`` assembles the
-    system, ``target(it, prep, eta, theta)`` is the absolute residual its
-    solve must meet, and ``recover(system, solution, it, prep)`` turns
-    that solve into a :class:`Direction`. The entries call
+    :data:`FORMULATIONS` holds one record per kind.
+    ``build(kind, it, prep, beta)`` assembles the system,
+    ``target(it, prep, eta, theta)`` is the absolute residual its solve
+    must meet, and ``recover(system, solution, it, prep)`` turns that
+    solve into a :class:`Direction`. The entries call
     ``_basis_products``, :func:`select_basis_mwb` and the
     ``recover_direction_*`` functions by module-global name at call time,
     so a replaced module attribute is the one that runs.
@@ -98,7 +98,6 @@ class Formulation:
 
     symmetric: bool
     positive_definite: bool
-    size: Callable
     build: Callable
     target: Callable
     recover: Callable
@@ -249,7 +248,7 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
         basis_inverse, A_hat_N = prep.basis_inverse, prep.A_hat_N
     else:
         B, N, basis_inverse, A_hat_N = prep.basis_factors(basis)
-    d = it.scaling()
+    d = np.sqrt(it.x / it.s)
     d_B = d[B]
     E_N = A_hat_N * d[N]
     E_N /= d_B[:, None]
@@ -476,23 +475,23 @@ def _oss_target(it, prep, eta, theta) -> float:
 
 FORMULATIONS = {
     SystemKind.FNS: Formulation(
-        False, False, lambda m, n: 2 * n + m, _assemble_fns, _base_target,
+        False, False, _assemble_fns, _base_target,
         lambda *args: recover_direction_fns(*args)),
     SystemKind.AS: Formulation(
-        True, False, lambda m, n: n + m, _assemble_as, _base_target,
+        True, False, _assemble_as, _base_target,
         lambda *args: recover_direction_as(*args)),
     SystemKind.NES: Formulation(
-        True, True, lambda m, n: m, _assemble_nes, _nes_target,
+        True, True, _assemble_nes, _nes_target,
         lambda *args: recover_direction_nes_procA(*args)),
     SystemKind.OSS: Formulation(
-        False, False, lambda m, n: n, _assemble_oss, _oss_target,
+        False, False, _assemble_oss, _oss_target,
         lambda *args: recover_direction_oss(*args)),
     SystemKind.MNES: Formulation(
-        True, True, lambda m, n: m,
+        True, True,
         lambda kind, it, prep, beta: _basis_products(kind, it, prep, beta, None),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),
     SystemKind.PNES: Formulation(
-        True, True, lambda m, n: m,
+        True, True,
         lambda kind, it, prep, beta: _basis_products(
             kind, it, prep, beta, select_basis_mwb(it, prep.base.A)),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),

@@ -104,12 +104,6 @@ class Iterate:
     def is_interior(self) -> bool:
         return bool((self.x > 0).all() and (self.s > 0).all())
 
-    def scaling(self) -> np.ndarray:
-        """Diagonal of D = S^{-1/2} X^{1/2} (requires interiority)."""
-        if not self.is_interior:
-            raise errors.SingularDiagonal("scaling undefined on the boundary")
-        return np.sqrt(self.x / self.s)
-
 
 @dataclass(frozen=True, eq=False)
 class PreprocessedProgram:

@@ -22,7 +22,7 @@ from ifipm import (
     preprocess,
     recover_direction,
 )
-from ifipm.cli import ConditionTrace, main as cli_main, slope_fit
+from ifipm.cli import condition_trace, main as cli_main, slope_fit
 from ifipm.solvers import OracleSolver, solve_exact
 
 from conftest import dense_newton_direction, feasible_iterate, neighborhood_iterate
@@ -177,35 +177,19 @@ def test_criterion_5_iteration_scaling():
            f"(medians {medians}, ratios {[f'{r:.3f}' for r in ratios]})")
 
 
-def _condition_trace(inst, kinds, zeta):
-    prep = preprocess(inst.lp)
-    params = IpmParams(theta=THETA, eta=ETA, zeta=zeta)
-    beta = params.resolve_beta(inst.lp.n)
-    rows = []
-
-    def observer(k, it, system, direction, new_it):
-        row = {"k": k, "mu": it.mu}
-        for kind in kinds:
-            sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
-            row[f"kappa_{kind.name}"] = condition_number(sys_k)
-        rows.append(row)
-
-    if_ipm(prep, inst.start, params, observer=observer)
-    return ConditionTrace(tuple(rows))
-
-
 def test_criterion_6_condition_number_rates():
     kinds = [SystemKind.NES, SystemKind.OSS]
     degenerate = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0,
                                         mode="known-optimal", degenerate=True,
                                         seed=3))
-    trace = _condition_trace(degenerate, kinds, zeta=1e-7)
+    params = IpmParams(theta=THETA, eta=ETA, zeta=1e-7)
+    trace = condition_trace(preprocess(degenerate.lp), degenerate.start, params, kinds)
     s_nes = slope_fit(trace, SystemKind.NES, (1e-6, 1e-2))
     s_oss = slope_fit(trace, SystemKind.OSS, (1e-6, 1e-2))
 
     nondeg = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0,
                                     mode="known-optimal", seed=4))
-    flat = _condition_trace(nondeg, kinds, zeta=1e-7)
+    flat = condition_trace(preprocess(nondeg.lp), nondeg.start, params, kinds)
     spreads = {}
     for kind in kinds:
         last5 = [row[f"kappa_{kind.name}"] for row in flat.rows[-5:]]
@@ -220,7 +204,9 @@ def test_criterion_6_condition_number_rates():
 def test_criterion_7_preconditioning():
     inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
                                   mode="known-optimal", seed=5))
-    trace = _condition_trace(inst, [SystemKind.NES, SystemKind.PNES], zeta=1e-6)
+    trace = condition_trace(preprocess(inst.lp), inst.start,
+                            IpmParams(theta=THETA, eta=ETA, zeta=1e-6),
+                            [SystemKind.NES, SystemKind.PNES])
     max_nes = max(row["kappa_NES"] for row in trace.rows)
     max_pnes = max(row["kappa_PNES"] for row in trace.rows)
     ratio_ok = max_pnes <= max_nes / 10.0

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ifipm import GeneratorSpec, IpmParams, SystemKind, generate, load_instance
+from ifipm import GeneratorSpec, IpmParams, SystemKind, generate, if_ipm, load_instance
 from ifipm import assemble, condition_number, errors, preprocess
 from ifipm.cli import (
     ConditionTrace,
+    condition_trace,
     main,
     read_condition_trace,
     slope_fit,
@@ -123,10 +124,10 @@ def test_missing_dimensions_is_input_error(tmp_path):
 @pytest.mark.parametrize("generate_args, solve_args", [
     # plain CG cannot touch the nonsymmetric orthogonal-subspaces matrix
     (["--m", 3, "--n", 6, "--seed", 4], ["--system", "oss", "--solver", "cg"]),
-    # a refinement loop's rescaled warm start falls outside the neighborhood
+    # a deep refinement loop's inner iterate leaves the neighborhood
     (["--m", 10, "--n", 20, "--kappa", 1e6, "--mode", "known-optimal",
-      "--degenerate", "--seed", 51], ["--zeta", 1e-11, "--zeta-hat", 1e-2]),
-], ids=["oss-cg", "refine-warm-start"])
+      "--degenerate", "--seed", 39], ["--zeta", 1e-12, "--zeta-hat", 1e-2]),
+], ids=["oss-cg", "refine-left-neighborhood"])
 def test_solver_failure_exit_code(tmp_path, generate_args, solve_args):
     inst = tmp_path / "inst.json"
     run("generate", *generate_args, "--out", inst)
@@ -158,6 +159,31 @@ def test_trace_subset_leaves_columns_empty(tmp_path):
     trace = read_condition_trace(out)
     assert trace.rows[0]["kappa_NES"] is not None
     assert trace.rows[0]["kappa_FNS"] is None
+
+
+def test_condition_trace_matches_per_iteration_assembly():
+    # reference: the observer condition_trace replaced, run alongside it
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=1e3, mode="known-optimal",
+                                  degenerate=True, seed=3))
+    prep = preprocess(inst.lp)
+    params = IpmParams(zeta=1e-5, system=SystemKind.MNES)
+    kinds = [SystemKind.NES, SystemKind.MNES, SystemKind.PNES]
+    beta = params.resolve_beta(inst.lp.n)
+    expected = []
+
+    def observer(k, it, system, direction, new_it):
+        row = {"k": k, "mu": it.mu}
+        for kind in kinds:
+            sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
+            row[f"kappa_{kind.name}"] = condition_number(sys_k)
+        expected.append(row)
+
+    _, run_trace = if_ipm(prep, inst.start, params, observer=observer)
+    trace = condition_trace(prep, inst.start, params, kinds)
+    assert list(trace.rows) == expected
+    assert [row["k"] for row in trace.rows] == [rec.k for rec in run_trace.records]
+    assert all(row.keys() == {"k", "mu", "kappa_NES", "kappa_MNES", "kappa_PNES"}
+               for row in trace.rows)
 
 
 def test_slope_fit_exact_power_laws():

@@ -1,7 +1,9 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifipm import (
     GeneratorSpec,
@@ -18,7 +20,8 @@ from ifipm import (
     preprocess,
     residuals,
 )
-from ifipm.solvers import ExactSolver, OracleSolver
+from ifipm.ipm import FEAS_RTOL
+from ifipm.solvers import ExactSolver, OracleSolver, RefiningSolver
 
 
 def test_check_parameters_beta_one_fails():
@@ -172,6 +175,62 @@ def test_ir_final_point_is_feasible():
     assert rep.primal_inf <= 1e-8 * (1 + np.linalg.norm(inst.lp.b, np.inf))
     assert rep.dual_inf <= 1e-8 * (1 + np.linalg.norm(inst.lp.c, np.inf))
     assert final.x.min() > 0 and final.s.min() > 0
+
+
+@cache
+def _degenerate_10x20(seed):
+    return generate(GeneratorSpec(m=10, n=20, kappa_target=1e6, mode="known-optimal",
+                                  degenerate=True, seed=seed))
+
+
+def _assert_refinement_contract(seed, zeta, solver):
+    """Refinement raises a SolveError or returns an interior iterate at zeta."""
+    inst = _degenerate_10x20(seed)
+    lp = inst.lp
+    try:
+        final, _ = ir_if_ipm(lp, inst.start, zeta=zeta, zeta_hat=1e-2,
+                             params=IpmParams(solver=solver))
+    except errors.SolveError:
+        return
+    rep = residuals(lp, final)
+    assert final.x.min() > 0 and final.s.min() > 0
+    assert rep.gap / lp.n <= zeta
+    assert rep.primal_inf <= FEAS_RTOL * (1 + np.linalg.norm(lp.b, np.inf))
+    assert rep.dual_inf <= FEAS_RTOL * (1 + np.linalg.norm(lp.c, np.inf))
+
+
+@pytest.mark.parametrize("seed, zeta", [(14, 1e-10), (1, 1e-12)])
+def test_refinement_returns_interior_iterates(seed, zeta):
+    # recomputing the slack as c - A^T y once returned min s = -8.3e-11
+    # (seed 14) and -9.2e-11 with a negative gap (seed 1) as solutions
+    _assert_refinement_contract(seed, zeta, ExactSolver())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 59), zeta=st.sampled_from([1e-10, 1e-11, 1e-12]),
+       refine=st.booleans())
+def test_refinement_contract_on_degenerate_grid(seed, zeta, refine):
+    solver = (RefiningSolver(inner=OracleSolver(seed=0), eps_inner=1e-1) if refine
+              else ExactSolver())
+    _assert_refinement_contract(seed, zeta, solver)
+
+
+def test_rejected_warm_start_names_the_loop(monkeypatch):
+    from ifipm import ipm
+
+    calls = []
+    original = ipm.if_ipm
+
+    def second_call_rejects(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise errors.NotInNeighborhood("start is outside the neighborhood")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ipm, "if_ipm", second_call_rejects)
+    inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
+    with pytest.raises(errors.LeftNeighborhood, match="loop 2"):
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
 
 
 def test_refinement_scale_equivalence():

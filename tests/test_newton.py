@@ -22,7 +22,7 @@ from ifipm import (
     select_basis_mwb,
     verify_direction,
 )
-from ifipm.newton import FORMULATIONS, proc_a_residual_bound
+from ifipm.newton import proc_a_residual_bound
 from ifipm.solvers import solve_exact
 
 from conftest import dense_newton_direction, feasible_iterate, interior_iterate
@@ -36,7 +36,6 @@ def test_system_sizes_match_table():
     expected = {SystemKind.FNS: 17, SystemKind.AS: 10, SystemKind.NES: 3,
                 SystemKind.OSS: 7, SystemKind.MNES: 3, SystemKind.PNES: 3}
     for kind, size in expected.items():
-        assert FORMULATIONS[kind].size(3, 7) == size
         sys = assemble(kind, inst.start, prep, beta=0.9)
         assert sys.matrix.shape == (size, size)
         assert sys.rhs.shape == (size,)
@@ -303,7 +302,7 @@ def _reference_basis_scaled(it, lp, basis, A_hat_N, beta):
     A_hat = np.zeros((m, n))
     A_hat[:, basis] = np.eye(m)
     A_hat[:, N] = A_hat_N
-    d = it.scaling()
+    d = np.sqrt(it.x / it.s)
     d_B = d[basis]
     E = A_hat * d / d_B[:, None]
     matrix = E @ E.T
@@ -364,7 +363,7 @@ def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_re
 
     assert np.abs(sys.matrix - matrix).max() <= tol * np.abs(matrix).max()
     terms = (np.abs(A_hat) @ np.abs(it.x)
-             + beta * it.mu * (np.abs(A_hat) @ (1.0 / it.s))) / it.scaling()[basis]
+             + beta * it.mu * (np.abs(A_hat) @ (1.0 / it.s))) / np.sqrt(it.x / it.s)[basis]
     assert np.abs(sys.rhs - rhs).max() <= tol * terms.max()
 
     r_hat = rng.standard_normal(lp.m)
@@ -616,20 +615,14 @@ def test_pnes_condition_settles_on_nondegenerate_runs():
     # once the iterates approach the optimal face, the per-iteration basis
     # stabilizes and the preconditioned matrix tends to the identity, so
     # its condition number stops growing (5% noise allowance)
-    from ifipm import IpmParams, generate, if_ipm
+    from ifipm import IpmParams, generate
+    from ifipm.cli import condition_trace
 
     inst = generate(GeneratorSpec(m=4, n=9, kappa_target=100.0,
                                   mode="known-optimal", seed=21))
-    prep = preprocess(inst.lp)
-    params = IpmParams(zeta=1e-7)
-    beta = params.resolve_beta(inst.lp.n)
-    kappas = []
-
-    def observer(k, it, system, direction, new_it):
-        if it.mu <= 1e-4:
-            kappas.append(condition_number(assemble(SystemKind.PNES, it, prep, beta)))
-
-    if_ipm(prep, inst.start, params, observer=observer)
+    trace = condition_trace(preprocess(inst.lp), inst.start, IpmParams(zeta=1e-7),
+                            [SystemKind.PNES])
+    kappas = [row["kappa_PNES"] for row in trace.rows if row["mu"] <= 1e-4]
     assert len(kappas) > 10
     for before, after in zip(kappas, kappas[1:]):
         assert after <= before * 1.05
