@@ -15,7 +15,16 @@ class InputError(IfipmError):
 
 
 class SolveError(IfipmError):
-    """A solver or the interior point loop failed at run time."""
+    """A solver or the interior point loop failed at run time.
+
+    Raised by the loop, it carries the ``iterate`` it stopped at and the
+    ``trace`` of the steps taken so far; elsewhere both are None.
+    """
+
+    def __init__(self, message, iterate=None, trace=None):
+        super().__init__(message)
+        self.iterate = iterate
+        self.trace = trace
 
 
 # --- problem construction / preprocessing ---
@@ -90,11 +99,6 @@ class LeftNeighborhood(SolveError):
 
 class MaxIterations(SolveError):
     """Iteration budget exhausted before reaching the target precision."""
-
-    def __init__(self, message, iterate=None, trace=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.trace = trace
 
 
 class SolverFailure(SolveError):

@@ -201,7 +201,11 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     Runs until ``mu <= params.zeta``. Every produced iterate must stay
     feasible and inside the neighborhood; an exit raises
     :class:`~ifipm.errors.LeftNeighborhood` since under the residual
-    contract it signals a bug or an overridden parameter set.
+    contract it signals a bug or an overridden parameter set. That
+    error, :class:`~ifipm.errors.SolverFailure` and
+    :class:`~ifipm.errors.MaxIterations` carry the ``iterate`` the
+    failing step started from and the ``trace`` so far, whose last
+    record is the failing step when it got that far.
     ``observer(k, iterate, system, direction, new_iterate)`` is invoked
     after each accepted step.
 
@@ -249,7 +253,8 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
         if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
             raise errors.SolverFailure(
                 f"iteration {k}: residual {report.achieved_residual:.3e} "
-                f"misses target {target:.3e} ({report.method})")
+                f"misses target {target:.3e} ({report.method})",
+                iterate=it, trace=_trace(records, pcheck, params))
         direction = recover_direction(system, report.solution, it, prep)
         new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
                          it.s + direction.ds)
@@ -270,12 +275,14 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
             observer(k, it, system, direction, new_it)
         if not inside:
             raise errors.LeftNeighborhood(
-                f"iterate {k + 1} left the theta={params.theta} neighborhood")
+                f"iterate {k + 1} left the theta={params.theta} neighborhood",
+                iterate=it, trace=_trace(records, pcheck, params))
         if (r_new.primal_inf > FEAS_RTOL * b_scale
                 or r_new.dual_inf > FEAS_RTOL * c_scale):
             raise errors.LeftNeighborhood(
                 f"iterate {k + 1} lost feasibility: primal {r_new.primal_inf:.2e}, "
-                f"dual {r_new.dual_inf:.2e}")
+                f"dual {r_new.dual_inf:.2e}",
+                iterate=it, trace=_trace(records, pcheck, params))
         it = new_it
     raise AssertionError("unreachable")  # loop always returns or raises
 

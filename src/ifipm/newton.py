@@ -16,7 +16,10 @@ PNES    m               yes        yes                z (basis-scaled)
 MNES rescales the normal equations by the inverse of a fixed basis
 submatrix chosen once during preprocessing; PNES rebuilds that scaling
 every call from the maximum-weight basis of the current iterate, which
-acts as a preconditioner. For both, an inexact solve with residual
+acts as a preconditioner. The selection runs every call, but when the
+iterate's top-m ratio columns are a basis the program already holds an
+inverse for, and that inverse certifies the set well-conditioned, it
+returns them without a QR. For both, an inexact solve with residual
 ``r_hat`` is repaired into an exactly primal-feasible direction by the
 basis-supported correction ``v = (D_B r_hat, 0)``.
 
@@ -178,7 +181,7 @@ def null_space_basis(A: np.ndarray) -> np.ndarray:
     return vh[m:].T.copy()
 
 
-def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
+def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     """Maximum-weight basis: greedy over columns sorted by x_i / s_i.
 
     Columns are visited in decreasing ratio order (ties broken by lower
@@ -186,9 +189,18 @@ def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
     measured by the orthogonal remainder exceeding ``1e-10`` of the
     column norm. Returns exactly m indices in acceptance order.
 
-    The greedy runs in blocks: the next ``m - k`` nonzero columns, with
-    the ``k`` accepted directions projected out twice, take one
-    Householder QR, whose ``|R_ii|`` is the remainder of column ``i``
+    ``held`` is an iterable of ``(basis_index, basis_inverse)`` pairs,
+    bases whose inverse the caller already has. When the first m nonzero
+    columns in ratio order are, as a set, a held basis ``B`` with
+    ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``, the greedy would
+    accept them all, and they are returned without running it: the
+    remainder of any column of ``B`` against any subset of the others is
+    at least ``sigma_min(A_B) >= 1 / ||A_B^{-1}||_F``, above its
+    acceptance threshold with a factor 2 to spare for rounding.
+
+    Otherwise the greedy runs in blocks: the next ``m - k`` nonzero
+    columns, with the ``k`` accepted directions projected out twice, take
+    one Householder QR, whose ``|R_ii|`` is the remainder of column ``i``
     against everything before it. The block's prefix up to the first
     failing column is accepted and the failing column skipped. When any
     m columns are independent, that is one QR per call.
@@ -201,6 +213,13 @@ def select_basis_mwb(it: Iterate, A: np.ndarray) -> list:
     norms = np.linalg.norm(A, axis=0)
     order = np.lexsort((np.arange(n), -ratios))
     order = order[norms[order] > 0.0]
+    if order.size >= m:
+        top = np.sort(order[:m])
+        for basis_index, basis_inverse in held:
+            if (np.array_equal(top, np.sort(basis_index))
+                    and 2.0 * MWB_TOL * norms[top].max()
+                    * np.linalg.norm(basis_inverse) < 1.0):
+                return order[:m].tolist()
     Q = np.empty((m, m))
     chosen: list = []
     start = 0
@@ -320,7 +339,9 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
 
     The matrix and right-hand side follow the defining equations
     literally. MNES uses the fixed preprocessing basis; PNES reselects
-    the maximum-weight basis on every call. OSS uses the program's
+    the maximum-weight basis on every call, passing the program's
+    :meth:`~ifipm.problem.PreprocessedProgram.held_bases` so that a
+    certified repeat of a held set skips the QR. OSS uses the program's
     null-space basis. Symmetric kinds are exactly symmetric: AS and NES
     are built as ``0.5 * (M + M.T)``, MNES and PNES as ``I + E_N E_N^T``
     from one symmetric product. Raises
@@ -493,7 +514,8 @@ FORMULATIONS = {
     SystemKind.PNES: Formulation(
         True, True,
         lambda kind, it, prep, beta: _basis_products(
-            kind, it, prep, beta, select_basis_mwb(it, prep.base.A)),
+            kind, it, prep, beta,
+            select_basis_mwb(it, prep.base.A, prep.held_bases())),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),
 }
 

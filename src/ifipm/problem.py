@@ -117,7 +117,8 @@ class PreprocessedProgram:
     whose basis block is the identity and is not stored. The cached
     properties are per-program constants that some Newton-system kinds
     need, each computed on first use. :meth:`basis_factors` gives the same
-    products for any other basis and keeps the last one.
+    products for any other basis and keeps the last one;
+    :meth:`held_bases` lists the bases whose inverse the program holds.
     """
 
     base: LinearProgram
@@ -143,6 +144,13 @@ class PreprocessedProgram:
             memo = (key, *_inverse_products(self.base.A, key))
             object.__setattr__(self, "_basis_memo", memo)
         return memo[1:]
+
+    def held_bases(self) -> tuple:
+        """``(basis_index, basis_inverse)`` of the preprocessing basis and
+        of the set :meth:`basis_factors` keeps, if any."""
+        held = ((self.basis_index, self.basis_inverse),)
+        memo = self._basis_memo
+        return held if memo is None else held + ((memo[1], memo[3]),)
 
     @cached_property
     def null_basis(self) -> np.ndarray:

@@ -116,6 +116,54 @@ def test_if_ipm_max_iterations_carries_state():
     assert len(info.value.trace.records) == 3
 
 
+@pytest.mark.parametrize("failure, records, message", [
+    ("solver", 3, "iteration 3: residual"),
+    ("neighborhood", 4, "iterate 4 left the theta=0.4 neighborhood"),
+    ("feasibility", 4, "iterate 4 lost feasibility"),
+], ids=["solver", "neighborhood", "feasibility"])
+def test_loop_failures_carry_partial_trace(failure, records, message, monkeypatch):
+    # the step at iteration 3 fails; the error carries the iterate it
+    # started from and the records so far, the failed step's included
+    # once it was taken
+    from dataclasses import replace as dc_replace
+
+    from ifipm import ipm
+
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=6))
+    calls = []
+    solver, recover = ExactSolver(), ipm.recover_direction
+
+    def failing_solver(matrix, rhs, target):
+        calls.append(1)
+        report = solver(matrix, rhs, target)
+        return dc_replace(report, converged=False) if len(calls) == 4 else report
+
+    def failing_recover(system, solution, it, prep):
+        calls.append(1)
+        direction = recover(system, solution, it, prep)
+        if len(calls) != 4:
+            return direction
+        if failure == "neighborhood":  # halve half of x: off-center
+            dx = direction.dx.copy()
+            dx[::2] -= 0.5 * (it.x + direction.dx)[::2]
+        else:  # grow x by 0.1%: still centered, A dx = 1e-3 b
+            dx = direction.dx + 1e-3 * it.x
+        return dc_replace(direction, dx=dx)
+
+    if failure == "solver":
+        params = IpmParams(zeta=1e-6, solver=failing_solver)
+    else:
+        params = IpmParams(zeta=1e-6)
+        monkeypatch.setattr(ipm, "recover_direction", failing_recover)
+    taken = []
+    with pytest.raises(errors.SolveError, match=message) as info:
+        if_ipm(preprocess(inst.lp), inst.start, params,
+               observer=lambda k, it, system, d, new: taken.append(new))
+    assert len(info.value.trace.records) == records
+    assert info.value.iterate is taken[2]
+    assert [r.k for r in info.value.trace.records] == list(range(records))
+
+
 @pytest.mark.parametrize("kind", list(SystemKind))
 def test_all_systems_reach_target(kind):
     inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=6))
@@ -290,8 +338,8 @@ def test_pnes_inverts_once_per_basis_set(monkeypatch):
     sets, inversions = [], []
     select, inv = newton.select_basis_mwb, np.linalg.inv
 
-    def counted_select(it, A):
-        basis = select(it, A)
+    def counted_select(it, A, held=()):
+        basis = select(it, A, held)
         sets.append(frozenset(basis))
         return basis
 
@@ -307,6 +355,39 @@ def test_pnes_inverts_once_per_basis_set(monkeypatch):
                   if basis != fixed and (k == 0 or basis != sets[k - 1]))
     assert len(sets) == len(trace.records)
     assert 0 < len(inversions) == changes < len(trace.records)
+
+
+def test_pnes_skips_the_qr_on_held_sets(monkeypatch):
+    # a call whose top-m ratio set is a held basis returns it without a
+    # QR; any other call takes at most one
+    from ifipm import newton
+
+    inst = generate(GeneratorSpec(m=20, n=40, kappa_target=100.0, seed=7))
+    select, qr = newton.select_basis_mwb, np.linalg.qr
+    qrs, calls = [], []
+
+    def counted_qr(*args, **kwargs):
+        qrs.append(1)
+        return qr(*args, **kwargs)
+
+    def counted_select(it, A, held=()):
+        held = list(held)
+        m, n = A.shape
+        top = frozenset(np.lexsort((np.arange(n), -(it.x / it.s)))[:m].tolist())
+        is_held = top in {frozenset(index.tolist()) for index, _ in held}
+        before = len(qrs)
+        basis = select(it, A, held)
+        calls.append((is_held, len(qrs) - before))
+        return basis
+
+    monkeypatch.setattr(newton, "select_basis_mwb", counted_select)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    _, trace = if_ipm(preprocess(inst.lp), inst.start,
+                      IpmParams(zeta=1e-3, system=SystemKind.PNES))
+    assert len(calls) == len(trace.records)
+    assert all(count == 0 for is_held, count in calls if is_held)
+    assert all(count <= 1 for is_held, count in calls if not is_held)
+    assert len(qrs) < len(trace.records)
 
 
 def test_nes_program_constants_computed_once(monkeypatch):

@@ -158,18 +158,43 @@ def _reference_mwb(it, A):
     raise errors.BasisNotFound(f"only {len(chosen)} independent columns found, need {m}")
 
 
-def _mwb_outcome(select, it, A):
+def _mwb_outcome(select, it, A, *args):
     try:
-        return select(it, A)
+        return select(it, A, *args)
     except errors.BasisNotFound:
         return "BasisNotFound"
 
 
-@settings(max_examples=300, deadline=None)
+def _held_pairs(rng, it, A, held):
+    """``held`` argument for a draw: the top-m ratio columns with their
+    inverse, if they are invertible, in ratio or in shuffled order, with
+    or without a decoy pair for another set."""
+    m, n = A.shape
+    order = np.lexsort((np.arange(n), -(it.x / it.s)))
+    top = order[np.linalg.norm(A[:, order], axis=0) > 0.0][:m]
+    pairs = []
+    if held != "none" and top.size == m:
+        if held == "shuffled":
+            top = rng.permutation(top)
+        try:
+            pairs.append((top, np.linalg.inv(A[:, top])))
+        except np.linalg.LinAlgError:
+            pass
+    if n > m and rng.integers(2):  # a small inverse that a match would certify
+        decoy = rng.choice(n, m, replace=False)
+        if set(decoy.tolist()) != set(top.tolist()):
+            pairs.insert(int(rng.integers(len(pairs) + 1)), (decoy, np.eye(m)))
+    return pairs
+
+
+@settings(max_examples=400, deadline=None)
 @given(m=st.integers(1, 6), extra=st.integers(0, 8),
-       structure=st.sampled_from(["generic", "duplicates", "zeros", "low_rank", "integer"]),
-       tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_mwb_matches_column_by_column_greedy(m, extra, structure, tied, seed):
+       structure=st.sampled_from(["generic", "duplicates", "zeros", "low_rank", "integer",
+                                  "near_dependent"]),
+       tied=st.booleans(), held=st.sampled_from(["none", "ordered", "shuffled"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mwb_matches_column_by_column_greedy(m, extra, structure, tied, held, seed):
+    # with or without held bases, the selection is the column loop's
     rng = np.random.default_rng(seed)
     n = m + extra
     A = rng.standard_normal((m, n))
@@ -186,8 +211,19 @@ def test_mwb_matches_column_by_column_greedy(m, extra, structure, tied, seed):
     x = rng.uniform(0.1, 2.0, n)
     if tied:  # few distinct ratios, so the lower-index tie break decides
         x = rng.integers(1, 4, n).astype(float)
+    if structure == "near_dependent" and n >= 2:
+        # column j is column i plus noise of 1e-11 to 1e-8 of its norm, so
+        # the certificate of a set holding both straddles its threshold;
+        # both lead the ratio order
+        i, j = rng.choice(n, 2, replace=False)
+        noise = rng.standard_normal(m)
+        scale = 10.0 ** rng.uniform(-11.0, -8.0) * np.linalg.norm(A[:, i])
+        A[:, j] = A[:, i] + scale * noise / np.linalg.norm(noise)
+        x[[i, j]] = x.max() + 1.0
     it = Iterate(x, np.zeros(m), np.ones(n))
-    assert _mwb_outcome(select_basis_mwb, it, A) == _mwb_outcome(_reference_mwb, it, A)
+    pairs = _held_pairs(rng, it, A, held)
+    assert (_mwb_outcome(select_basis_mwb, it, A, pairs)
+            == _mwb_outcome(_reference_mwb, it, A))
 
 
 def test_pnes_assembly_independent_of_kept_factors(central_instance):
