@@ -145,7 +145,7 @@ def _center(A, b, c, x, y, s, mu_target, max_steps=80):
             dy = solve_exact(0.5 * (M + M.T), sigma).solution
         except errors.SingularMatrix:
             return None
-        ds = -A.T @ dy
+        ds = -(A.T @ dy)
         dx = mu_target / s - x - d2 * ds
         alpha = 1.0
         for vec, dvec in ((x, dx), (s, ds)):

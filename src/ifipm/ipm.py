@@ -201,11 +201,15 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     Runs until ``mu <= params.zeta``. Every produced iterate must stay
     feasible and inside the neighborhood; an exit raises
     :class:`~ifipm.errors.LeftNeighborhood` since under the residual
-    contract it signals a bug or an overridden parameter set. That
-    error, :class:`~ifipm.errors.SolverFailure` and
-    :class:`~ifipm.errors.MaxIterations` carry the ``iterate`` the
-    failing step started from and the ``trace`` so far, whose last
-    record is the failing step when it got that far.
+    contract it signals a bug or an overridden parameter set. Every
+    :class:`~ifipm.errors.SolveError` leaving the loop carries the
+    ``iterate`` the failing step started from and the ``trace`` so far,
+    whose last record is the failing step when it got that far: the
+    loop's own (that one, :class:`~ifipm.errors.SolverFailure` and
+    :class:`~ifipm.errors.MaxIterations`) and those raised inside
+    assembly, the solver or recovery. The solver is called as
+    ``params.solver(system, system.rhs, target)`` with the
+    :class:`~ifipm.newton.AssembledSystem` as its operator.
     ``observer(k, iterate, system, direction, new_iterate)`` is invoked
     after each accepted step.
 
@@ -239,51 +243,58 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
 
     it = start
     records = []
-    for k in range(max_it + 1):
-        mu = it.mu
-        if mu <= params.zeta:
-            return it, _trace(records, pcheck, params)
-        if k == max_it:
-            raise errors.MaxIterations(
-                f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations",
-                iterate=it, trace=_trace(records, pcheck, params))
-        system = assemble(params.system, it, prep, beta)
-        target = solve_target(params.system, it, prep, params.eta, params.theta)
-        report = params.solver(system.matrix, system.rhs, target)
-        if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
-            raise errors.SolverFailure(
-                f"iteration {k}: residual {report.achieved_residual:.3e} "
-                f"misses target {target:.3e} ({report.method})",
-                iterate=it, trace=_trace(records, pcheck, params))
-        direction = recover_direction(system, report.solution, it, prep)
-        new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
-                         it.s + direction.ds)
-        r_new = residuals(lp, new_it)
-        inside = in_neighborhood(new_it, params.theta)
-        records.append(IterationRecord(
-            k=k,
-            mu=mu,
-            kappa_system=(condition_number(system) if params.condition_numbers
-                          else None),
-            achieved_residual=report.achieved_residual,
-            in_neighborhood=inside,
-            primal_inf=r_new.primal_inf,
-            dual_inf=r_new.dual_inf,
-            mu_ratio=new_it.mu / mu,
-        ))
-        if observer is not None:
-            observer(k, it, system, direction, new_it)
-        if not inside:
-            raise errors.LeftNeighborhood(
-                f"iterate {k + 1} left the theta={params.theta} neighborhood",
-                iterate=it, trace=_trace(records, pcheck, params))
-        if (r_new.primal_inf > FEAS_RTOL * b_scale
-                or r_new.dual_inf > FEAS_RTOL * c_scale):
-            raise errors.LeftNeighborhood(
-                f"iterate {k + 1} lost feasibility: primal {r_new.primal_inf:.2e}, "
-                f"dual {r_new.dual_inf:.2e}",
-                iterate=it, trace=_trace(records, pcheck, params))
-        it = new_it
+    try:
+        for k in range(max_it + 1):
+            mu = it.mu
+            if mu <= params.zeta:
+                return it, _trace(records, pcheck, params)
+            if k == max_it:
+                raise errors.MaxIterations(
+                    f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations",
+                    iterate=it, trace=_trace(records, pcheck, params))
+            system = assemble(params.system, it, prep, beta)
+            target = solve_target(params.system, it, prep, params.eta, params.theta)
+            report = params.solver(system, system.rhs, target)
+            if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
+                raise errors.SolverFailure(
+                    f"iteration {k}: residual {report.achieved_residual:.3e} "
+                    f"misses target {target:.3e} ({report.method})",
+                    iterate=it, trace=_trace(records, pcheck, params))
+            direction = recover_direction(system, report.solution, it, prep)
+            new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
+                             it.s + direction.ds)
+            r_new = residuals(lp, new_it)
+            inside = in_neighborhood(new_it, params.theta)
+            records.append(IterationRecord(
+                k=k,
+                mu=mu,
+                kappa_system=(condition_number(system) if params.condition_numbers
+                              else None),
+                achieved_residual=report.achieved_residual,
+                in_neighborhood=inside,
+                primal_inf=r_new.primal_inf,
+                dual_inf=r_new.dual_inf,
+                mu_ratio=new_it.mu / mu,
+            ))
+            if observer is not None:
+                observer(k, it, system, direction, new_it)
+            if not inside:
+                raise errors.LeftNeighborhood(
+                    f"iterate {k + 1} left the theta={params.theta} neighborhood",
+                    iterate=it, trace=_trace(records, pcheck, params))
+            if (r_new.primal_inf > FEAS_RTOL * b_scale
+                    or r_new.dual_inf > FEAS_RTOL * c_scale):
+                raise errors.LeftNeighborhood(
+                    f"iterate {k + 1} lost feasibility: primal {r_new.primal_inf:.2e}, "
+                    f"dual {r_new.dual_inf:.2e}",
+                    iterate=it, trace=_trace(records, pcheck, params))
+            it = new_it
+    except errors.SolveError as exc:
+        # raised inside assembly, the solver or recovery: carry the
+        # partial trace as the loop's own raises do
+        if exc.iterate is None and exc.trace is None:
+            exc.iterate, exc.trace = it, _trace(records, pcheck, params)
+        raise
     raise AssertionError("unreachable")  # loop always returns or raises
 
 

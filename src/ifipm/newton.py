@@ -35,7 +35,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,22 +109,32 @@ class Formulation:
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """One Newton-system formulation: matrix, right-hand side, metadata.
+    """One Newton-system formulation as an operator: ``matvec``, right-hand
+    side, metadata.
+
+    This is what the loop hands its solver. ``matvec(z)`` applies the
+    system matrix and ``matrix`` is its dense form. FNS, AS, NES and OSS
+    are assembled dense, into ``dense``. For MNES/PNES ``dense`` is None,
+    ``matvec`` is ``z + E_N (E_N^T z)`` and ``matrix``,
+    ``I + E_N @ E_N.T``, is built on first use and kept, so a solver that
+    never asks for it never forms it. ``factorization``
+    is the exact solver's factorization, also built on first use and
+    kept: the matrix of a system never changes. The symmetry flags are
+    those of the kind's :class:`Formulation`.
 
     The basis-scaled kinds also carry what their recovery consumes: the
     basis behind them (``basis_used``, an integer index array, and
     ``nonbasic`` for the other columns in increasing order),
     ``basis_inverse``, ``A_hat_N = basis_inverse @ A[:, nonbasic]``,
     ``d_B``, the scaling ``sqrt(x/s)`` on the basis, and ``E_N``, the
-    scaled nonbasic block with ``matrix = I + E_N @ E_N.T``. The symmetry
-    flags are those of the kind's :class:`Formulation`.
+    scaled nonbasic block.
     """
 
     kind: SystemKind
-    matrix: np.ndarray
     rhs: np.ndarray
     mu: float
     beta: float
+    dense: Optional[np.ndarray] = field(default=None, repr=False)
     E_N: Optional[np.ndarray] = None
     basis_used: Optional[np.ndarray] = None
     nonbasic: Optional[np.ndarray] = None
@@ -138,6 +149,36 @@ class AssembledSystem:
     @property
     def positive_definite(self) -> bool:
         return FORMULATIONS[self.kind].positive_definite
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense system matrix."""
+        if self.dense is not None:
+            return self.dense
+        # numpy evaluates E_N @ E_N.T as one symmetric rank-k update (syrk),
+        # so the matrix is exactly symmetric without a 0.5 * (M + M.T) pass
+        matrix = self.E_N @ self.E_N.T
+        matrix.flat[::matrix.shape[0] + 1] += 1.0
+        return matrix
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """The system matrix applied to ``z``."""
+        if self.dense is not None:
+            return self.dense @ z
+        return z + self.E_N @ (self.E_N.T @ z)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the system matrix, a new array."""
+        if self.dense is not None:
+            return np.diag(self.dense).copy()
+        return 1.0 + np.einsum("ij,ij->i", self.E_N, self.E_N)
+
+    @cached_property
+    def factorization(self):
+        """:func:`~ifipm.solvers.factorize` of this system, kept."""
+        from .solvers import factorize
+
+        return factorize(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,14 +230,19 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     measured by the orthogonal remainder exceeding ``1e-10`` of the
     column norm. Returns exactly m indices in acceptance order.
 
-    ``held`` is an iterable of ``(basis_index, basis_inverse)`` pairs,
-    bases whose inverse the caller already has. When the first m nonzero
-    columns in ratio order are, as a set, a held basis ``B`` with
-    ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``, the greedy would
-    accept them all, and they are returned without running it: the
-    remainder of any column of ``B`` against any subset of the others is
-    at least ``sigma_min(A_B) >= 1 / ||A_B^{-1}||_F``, above its
-    acceptance threshold with a factor 2 to spare for rounding.
+    ``held`` is an iterable of ``(basis_index, certificate)`` pairs for
+    bases whose inverse the caller already has. The certificate is the
+    inverse ``A_B^{-1}`` itself, or the number
+    ``max_{j in B} ||a_j|| * ||A_B^{-1}||_F`` computed from it, which
+    :meth:`~ifipm.problem.PreprocessedProgram.held_bases` keeps per
+    basis. When the first m columns in ratio order are, as a set, a held
+    basis ``B`` with ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``,
+    the greedy would accept them all, and they are returned without
+    running it: the remainder of any column of ``B`` against any subset
+    of the others is at least ``sigma_min(A_B) >= 1 / ||A_B^{-1}||_F``,
+    above its acceptance threshold with a factor 2 to spare for rounding.
+    The columns of an invertible ``A_B`` are nonzero, so the greedy
+    skips no column before them.
 
     Otherwise the greedy runs in blocks: the next ``m - k`` nonzero
     columns, with the ``k`` accepted directions projected out twice, take
@@ -209,17 +255,19 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     m, n = A.shape
     if not it.is_interior:
         raise errors.SingularDiagonal("basis selection needs a strictly interior iterate")
-    ratios = it.x / it.s
-    norms = np.linalg.norm(A, axis=0)
-    order = np.lexsort((np.arange(n), -ratios))
-    order = order[norms[order] > 0.0]
-    if order.size >= m:
-        top = np.sort(order[:m])
-        for basis_index, basis_inverse in held:
-            if (np.array_equal(top, np.sort(basis_index))
-                    and 2.0 * MWB_TOL * norms[top].max()
-                    * np.linalg.norm(basis_inverse) < 1.0):
+    order = np.lexsort((np.arange(n), -(it.x / it.s)))
+    top = np.sort(order[:m])
+    for basis_index, certificate in held:
+        if np.array_equal(top, np.sort(basis_index)):
+            if np.ndim(certificate):  # an inverse: bound it here
+                top_norms = np.linalg.norm(A[:, top], axis=0)
+                # a zero column rules out an invertible A_B, whatever is passed
+                certificate = (top_norms.max() * np.linalg.norm(certificate)
+                               if top_norms.min() > 0.0 else math.inf)
+            if 2.0 * MWB_TOL * certificate < 1.0:
                 return order[:m].tolist()
+    norms = np.linalg.norm(A, axis=0)
+    order = order[norms[order] > 0.0]
     Q = np.empty((m, m))
     chosen: list = []
     start = 0
@@ -271,15 +319,10 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     d_B = d[B]
     E_N = A_hat_N * d[N]
     E_N /= d_B[:, None]
-    # numpy evaluates E_N @ E_N.T as one symmetric rank-k update (syrk),
-    # so the matrix is exactly symmetric without a 0.5 * (M + M.T) pass
-    matrix = E_N @ E_N.T
-    matrix.flat[::matrix.shape[0] + 1] += 1.0
     x, inv_s, weight = it.x, 1.0 / it.s, beta * it.mu
     sigma_hat = (x[B] + A_hat_N @ x[N] - weight * (inv_s[B] + A_hat_N @ inv_s[N])) / d_B
     return AssembledSystem(
         kind=kind,
-        matrix=matrix,
         rhs=sigma_hat,
         mu=it.mu,
         beta=beta,
@@ -301,7 +344,7 @@ def _assemble_fns(kind, it, prep, beta) -> AssembledSystem:
         [np.zeros((n, m)), np.diag(s), np.diag(x)],
     ])
     rhs = np.concatenate([np.zeros(m + n), beta * it.mu - x * s])
-    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
 
 
 def _assemble_as(kind, it, prep, beta) -> AssembledSystem:
@@ -314,7 +357,7 @@ def _assemble_as(kind, it, prep, beta) -> AssembledSystem:
     ])
     matrix = 0.5 * (matrix + matrix.T)
     rhs = np.concatenate([np.zeros(m), s - beta * it.mu / x])
-    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
 
 
 def _assemble_nes(kind, it, prep, beta) -> AssembledSystem:
@@ -323,14 +366,14 @@ def _assemble_nes(kind, it, prep, beta) -> AssembledSystem:
     matrix = (A * d2[None, :]) @ A.T
     matrix = 0.5 * (matrix + matrix.T)
     rhs = A @ x - beta * it.mu * (A @ (1.0 / s))
-    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
 
 
 def _assemble_oss(kind, it, prep, beta) -> AssembledSystem:
     A, x, s = prep.base.A, it.x, it.s
     matrix = np.hstack([-(x[:, None] * A.T), s[:, None] * prep.null_basis])
     rhs = beta * it.mu - x * s
-    return AssembledSystem(kind=kind, matrix=matrix, rhs=rhs, mu=it.mu, beta=beta)
+    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
 
 
 def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
@@ -372,7 +415,7 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
                                    it: Iterate, prep: PreprocessedProgram) -> Direction:
     """Direction from an MNES/PNES assembly and a solve of it.
 
-    With ``r_hat = system.matrix @ z_tilde - system.rhs`` and ``B``/``N``
+    With ``r_hat = system.matvec(z_tilde) - system.rhs`` and ``B``/``N``
     the basis and nonbasic positions, the recovery is
 
         dy    = (basis_inverse)^T (z_tilde / d_B)
@@ -398,14 +441,14 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     optimal face.)
     """
     lp = prep.base
-    r_hat = system.matrix @ z_tilde - system.rhs
+    r_hat = system.matvec(z_tilde) - system.rhs
     B, N = system.basis_used, system.nonbasic
     dy = system.basis_inverse.T @ (z_tilde / system.d_B)
     v = np.zeros(lp.n)
     v[B] = system.d_B * r_hat
-    ds = -lp.A.T @ dy
+    ds = -(lp.A.T @ dy)
     dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
-    dx[B] = -system.A_hat_N @ dx[N]
+    dx[B] = -(system.A_hat_N @ dx[N])
     dx[B] -= system.basis_inverse @ (lp.A @ dx)
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
                      system=system.kind)
@@ -425,17 +468,17 @@ def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Ite
                                 prep: PreprocessedProgram) -> Direction:
     """Direction from an inexact plain normal-equation solve.
 
-    The primal drift ``A dx = r``, with ``r = system.matrix @ dy -
+    The primal drift ``A dx = r``, with ``r = system.matvec(dy) -
     system.rhs``, is repaired with the dense minimum-norm correction
     ``v = A^T (A A^T)^{-1} r``.
     """
     from .solvers import solve_exact
 
     lp = prep.base
-    r = system.matrix @ dy - system.rhs
+    r = system.matvec(dy) - system.rhs
     u = solve_exact(prep.gram, r).solution
     v = lp.A.T @ u
-    ds = -lp.A.T @ dy
+    ds = -(lp.A.T @ dy)
     dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r, correction_v=v,
                      system=SystemKind.NES)
@@ -455,7 +498,7 @@ def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Ite
     m = lp.m
     dy, lam = solution[:m], solution[m:]
     dx = prep.null_basis @ lam
-    ds = -lp.A.T @ dy
+    ds = -(lp.A.T @ dy)
     return Direction(dx=dx, dy=dy, ds=ds,
                      residual_hat=np.zeros(m), correction_v=np.zeros(lp.n),
                      system=SystemKind.OSS)

@@ -141,16 +141,35 @@ class PreprocessedProgram:
         key = tuple(sorted(int(j) for j in basis))
         memo = self._basis_memo
         if memo is None or memo[0] != key:
-            memo = (key, *_inverse_products(self.base.A, key))
+            basis_index, nonbasic, basis_inverse, A_hat_N = _inverse_products(
+                self.base.A, key)
+            memo = (key, basis_index, nonbasic, basis_inverse, A_hat_N,
+                    self._certificate(basis_index, basis_inverse))
             object.__setattr__(self, "_basis_memo", memo)
-        return memo[1:]
+        return memo[1:5]
 
     def held_bases(self) -> tuple:
-        """``(basis_index, basis_inverse)`` of the preprocessing basis and
-        of the set :meth:`basis_factors` keeps, if any."""
-        held = ((self.basis_index, self.basis_inverse),)
+        """``(basis_index, certificate)`` of the preprocessing basis and of
+        the set :meth:`basis_factors` keeps, if any, for
+        :func:`~ifipm.newton.select_basis_mwb`. The certificate is
+        ``max_{j in B} ||a_j|| * ||basis_inverse||_F``, computed once per
+        basis."""
+        held = ((self.basis_index, self._preprocessing_certificate),)
         memo = self._basis_memo
-        return held if memo is None else held + ((memo[1], memo[3]),)
+        return held if memo is None else held + ((memo[1], memo[5]),)
+
+    def _certificate(self, basis_index, basis_inverse) -> float:
+        return float(self.column_norms[basis_index].max()
+                     * np.linalg.norm(basis_inverse))
+
+    @cached_property
+    def _preprocessing_certificate(self) -> float:
+        return self._certificate(self.basis_index, self.basis_inverse)
+
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """2-norm of every column of A (maximum-weight basis certificates)."""
+        return np.linalg.norm(self.base.A, axis=0)
 
     @cached_property
     def null_basis(self) -> np.ndarray:

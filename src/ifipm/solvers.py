@@ -1,7 +1,11 @@
 """Linear-system solving layer with an explicit residual contract.
 
 The routines take ``(matrix, rhs, target_residual, ...)``, apart from
-:func:`solve_exact`, whose target is fixed. Every one returns a
+:func:`solve_exact`, whose target is fixed. ``matrix`` is an operator,
+the :class:`~ifipm.newton.AssembledSystem` the loop passes: its
+``matvec``, its symmetry flags and, for the exact solver, its kept
+factorization are used, and CG never forms its dense matrix. A bare
+matrix is accepted too; its symmetry is then probed. Every one returns a
 :class:`SolveReport` whose ``achieved_residual``, a 2-norm, is
 recomputed from the returned solution, never taken from the method's
 internal recurrence. The :func:`inexact_oracle` emulates a bounded-error
@@ -13,18 +17,20 @@ low-precision solver in a residual-correction loop.
 from __future__ import annotations
 
 import math
-import warnings
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from . import errors
 
 __all__ = [
     "SolveReport",
+    "Factorization",
+    "factorize",
     "solve_exact",
     "solve_cg",
     "inexact_oracle",
@@ -56,7 +62,7 @@ class SolveReport:
 
 
 def _report(matrix, rhs, solution, iterations, method, converged=True):
-    residual = float(np.linalg.norm(rhs - matrix @ solution))
+    residual = float(np.linalg.norm(rhs - _operator(matrix).matvec(solution)))
     return SolveReport(
         solution=solution,
         achieved_residual=residual,
@@ -67,76 +73,137 @@ def _report(matrix, rhs, solution, iterations, method, converged=True):
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    # exact equality first: it decides the exactly symmetric assemblies at
-    # a fraction of the cost of the tolerance test
+    # exact equality first: it decides exactly symmetric matrices at a
+    # fraction of the cost of the tolerance test
     return M.shape[0] == M.shape[1] and (
         np.array_equal(M, M.T) or np.allclose(M, M.T, rtol=1e-12, atol=1e-14))
 
 
-def solve_exact(matrix: np.ndarray, rhs: np.ndarray) -> SolveReport:
+class _Matrix:
+    """A bare matrix as an operator, its flags from the symmetry probe.
+
+    A symmetric matrix is taken as possibly positive definite: the exact
+    solver tries Cholesky before LU, and CG stops on negative curvature.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return _is_symmetric(self.matrix)
+
+    @property
+    def positive_definite(self) -> bool:
+        return self.symmetric
+
+    def matvec(self, z):
+        return self.matrix @ z
+
+    def diagonal(self):
+        return np.diag(self.matrix).copy()
+
+    @cached_property
+    def factorization(self):
+        return factorize(self)
+
+
+def _operator(matrix):
+    """An assembled system as it is; a bare matrix wrapped as an operator."""
+    return matrix if hasattr(matrix, "matvec") else _Matrix(matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """An exact factorization: its ``method`` and ``solve(v) = M^{-1} v``."""
+
+    method: str
+    solve: Callable
+
+
+def factorize(operator) -> Factorization:
+    """Cholesky or partial-pivoted LU factorization of an operator's matrix.
+
+    A basis-scaled system (one with ``E_N``) never forms its dense matrix
+    here: one ``syrk`` writes the lower triangle of ``E_N E_N^T`` in
+    Fortran order, 1 is added on its diagonal and ``potrf`` factors it in
+    place. Other symmetric positive definite operators take ``potrf`` on
+    the upper triangle of a copy of ``matrix``, as
+    ``scipy.linalg.cho_factor`` does; the rest, and a Cholesky that
+    fails, take ``getrf``. A singular LU factor is not an error here: its
+    solves come out non-finite.
+    """
+    E_N = getattr(operator, "E_N", None)
+    if E_N is not None and E_N.size:  # syrk needs at least one column
+        gram = blas.dsyrk(1.0, E_N.T, trans=1, lower=1)
+        gram.flat[::gram.shape[0] + 1] += 1.0
+        factor, info = lapack.dpotrf(gram, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return Factorization(
+                "cholesky", lambda v: lapack.dpotrs(factor, v, lower=1)[0])
+    elif operator.symmetric and operator.positive_definite:
+        factor, info = lapack.dpotrf(operator.matrix, clean=0)
+        if info == 0:
+            return Factorization("cholesky", lambda v: lapack.dpotrs(factor, v)[0])
+    try:
+        lu, piv, _ = lapack.dgetrf(operator.matrix)
+    except ValueError as exc:
+        raise errors.SingularMatrix(str(exc)) from exc
+    return Factorization("lu", lambda v: lapack.dgetrs(lu, piv, v)[0])
+
+
+def solve_exact(matrix, rhs: np.ndarray) -> SolveReport:
     """Direct factorization solve, refined to near machine-level residual.
 
-    Symmetric positive definite inputs take a Cholesky path, everything
-    else partial-pivoted LU. A few residual-correction passes with the
-    cached factorization push the residual to ``1e-12 * (1 + ||rhs||)``
-    even for ill-conditioned systems.
+    ``matrix`` is an :class:`~ifipm.newton.AssembledSystem` or a bare
+    matrix. The factorization is :func:`factorize`'s; a system keeps it,
+    so repeated solves of one system factor it once. A few
+    residual-correction passes with it push the residual to
+    ``1e-12 * (1 + ||rhs||)`` even for ill-conditioned systems.
     """
-    M = np.asarray(matrix, dtype=float)
+    op = _operator(matrix)
     r0 = np.asarray(rhs, dtype=float)
-    apply_inverse = None
-    method = "lu"
-    if _is_symmetric(M):
-        try:
-            cho = scipy.linalg.cho_factor(M, check_finite=False)
-            apply_inverse = lambda v: scipy.linalg.cho_solve(cho, v, check_finite=False)
-            method = "cholesky"
-        except scipy.linalg.LinAlgError:
-            apply_inverse = None
-    if apply_inverse is None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(M, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise errors.SingularMatrix(str(exc)) from exc
-        apply_inverse = lambda v: scipy.linalg.lu_solve(lu, v, check_finite=False)
-
-    z = apply_inverse(r0)
+    factor = op.factorization
+    z = factor.solve(r0)
     if not np.isfinite(z).all():
         raise errors.SingularMatrix("factorization produced non-finite solution")
     tol = EXACT_RTOL * (1.0 + float(np.linalg.norm(r0)))
-    residual = r0 - M @ z
+    residual = r0 - op.matvec(z)
     for _ in range(5):
         rn = float(np.linalg.norm(residual))
         if rn <= tol:
             break
-        d = apply_inverse(residual)
+        d = factor.solve(residual)
         z_new = z + d
-        residual_new = r0 - M @ z_new
+        residual_new = r0 - op.matvec(z_new)
         if float(np.linalg.norm(residual_new)) >= rn:
             break  # refinement saturated, keep the better iterate
         z, residual = z_new, residual_new
-    if float(np.linalg.norm(residual)) > 0.5 * (1.0 + float(np.linalg.norm(r0))):
+    achieved = float(np.linalg.norm(residual))  # recomputed from z, as in _report
+    if achieved > 0.5 * (1.0 + float(np.linalg.norm(r0))):
         raise errors.SingularMatrix("matrix is numerically singular")
-    return _report(M, r0, z, 1, method)
+    return SolveReport(solution=z, achieved_residual=achieved, iterations=1,
+                       method=factor.method)
 
 
-def solve_cg(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
+def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
              max_iterations: int = 0,
              precondition: Optional[Callable] = None) -> SolveReport:
     """Conjugate gradient for symmetric positive definite systems.
 
-    Stops at ``||rhs - M z|| <= target_residual`` or after
-    ``max_iterations`` (``0``: ten times the dimension), returning the
-    best iterate with ``converged=False``. ``precondition``, if given,
-    applies the inverse of a preconditioner to a vector once per
-    iteration. Raises :class:`~ifipm.errors.NotSPD` on detected negative
-    curvature.
+    ``matrix`` is an :class:`~ifipm.newton.AssembledSystem`, applied
+    through its ``matvec`` and never formed, or a bare matrix. Stops at
+    ``||rhs - M z|| <= target_residual`` or after ``max_iterations``
+    (``0``: ten times the dimension), returning the best iterate with
+    ``converged=False``. ``precondition``, if given, applies the inverse
+    of a preconditioner to a vector once per iteration. Raises
+    :class:`~ifipm.errors.NotSPD` on a nonsymmetric operator and on
+    detected negative curvature.
     """
     _check_target(target_residual)
-    M = np.asarray(matrix, dtype=float)
+    op = _operator(matrix)
     rhs = np.asarray(rhs, dtype=float)
-    if not _is_symmetric(M):
+    if not op.symmetric:
         raise errors.NotSPD("matrix is not symmetric")
     n = rhs.shape[0]
     max_it = max_iterations if max_iterations > 0 else 10 * n
@@ -146,13 +213,13 @@ def solve_cg(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
     r = rhs.copy()
     best_z, best_rn = z.copy(), float(np.linalg.norm(r))
     if best_rn <= target_residual:
-        return _report(M, rhs, z, 0, method)
+        return _report(op, rhs, z, 0, method)
     w = precondition(r) if precondition is not None else r
     p = w.copy()
     rho = float(r @ w)
     iterations = 0
     for iterations in range(1, max_it + 1):
-        Mp = M @ p
+        Mp = op.matvec(p)
         curvature = float(p @ Mp)
         if curvature <= 0.0:
             raise errors.NotSPD(f"negative curvature at iteration {iterations}")
@@ -163,19 +230,22 @@ def solve_cg(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
         if rn < best_rn:
             best_z, best_rn = z.copy(), rn
         if rn <= target_residual:
-            return _report(M, rhs, z, iterations, method)
+            return _report(op, rhs, z, iterations, method)
         w = precondition(r) if precondition is not None else r
         rho_new = float(r @ w)
         p = w + (rho_new / rho) * p
         rho = rho_new
-    return _report(M, rhs, best_z, iterations, method, converged=False)
+    return _report(op, rhs, best_z, iterations, method, converged=False)
 
 
-def inexact_oracle(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
+def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
                    mode: str = "random", seed: Optional[int] = None) -> SolveReport:
     """Bounded-residual solver emulating an inexact linear-system oracle.
 
-    Computes the exact solution, then injects a controlled perturbation:
+    Computes the exact solution with :func:`solve_exact` (an
+    :class:`~ifipm.newton.AssembledSystem` keeps its factorization across
+    calls), then injects a controlled perturbation, working on the dense
+    ``matrix``:
 
     * ``random`` — a direction drawn from ``seed`` (``None``: 0), scaled
       so the achieved residual lands in ``[0.5, 1.0] * target_residual``;
@@ -188,10 +258,11 @@ def inexact_oracle(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
     _check_target(target_residual)
     if mode not in ("random", "adversarial"):
         raise errors.InvalidParameters(f"unknown oracle mode {mode!r}")
-    M = np.asarray(matrix, dtype=float)
+    op = _operator(matrix)
+    M = op.matrix
     rhs = np.asarray(rhs, dtype=float)
     tol = target_residual
-    exact = solve_exact(M, rhs)
+    exact = solve_exact(op, rhs)
     if tol < 1e-15:
         return _report(M, rhs, exact.solution, 1, f"oracle-{mode}-exact")
     r0 = rhs - M @ exact.solution
@@ -231,7 +302,7 @@ def inexact_oracle(matrix: np.ndarray, rhs: np.ndarray, target_residual: float,
 
 def refine_linear(
     inner: Callable,
-    matrix: np.ndarray,
+    matrix,
     rhs: np.ndarray,
     eps_outer: float,
     eps_inner: float,
@@ -243,18 +314,22 @@ def refine_linear(
     absolute target ``eps_outer``. Each loop contracts the residual by at
     least ``eps_inner`` when the inner solver honors its contract, so the
     loop count is bounded by ``ceil(log(eps_outer/||rhs||)/log(eps_inner)) + 2``.
+    ``inner`` receives ``matrix`` as given: an assembled system, whose
+    factorization an exact inner solve keeps across loops, or the bare
+    matrix.
     """
     if not 0.0 < eps_inner < 1.0:
         raise errors.InvalidParameters("eps_inner must lie in (0, 1)")
     if eps_outer <= 0.0:
         raise errors.InvalidParameters("eps_outer must be positive")
-    M = np.asarray(matrix, dtype=float)
+    M = matrix if hasattr(matrix, "matvec") else np.asarray(matrix, dtype=float)
+    op = _operator(M)
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])
     r = b.copy()
     rn = float(np.linalg.norm(r))
     if rn <= eps_outer:
-        return _report(M, b, z, 0, "refine")
+        return _report(op, b, z, 0, "refine")
     cap = math.ceil(math.log(eps_outer / rn) / math.log(eps_inner)) + 2
     stall_factor = (eps_inner + 0.5) / 1.5
     consecutive_slow = 0
@@ -264,7 +339,7 @@ def refine_linear(
             raise errors.Stalled(f"no convergence within {cap} refinement loops")
         step = inner(M, r, eps_inner * rn)
         z = z + step.solution
-        r = b - M @ z
+        r = b - op.matvec(z)
         new_rn = float(np.linalg.norm(r))
         loops += 1
         if rn > 0 and new_rn / rn > stall_factor:
@@ -276,13 +351,15 @@ def refine_linear(
         else:
             consecutive_slow = 0
         rn = new_rn
-    return _report(M, b, z, loops, "refine")
+    return _report(op, b, z, loops, "refine")
 
 
 # --- stateless solver handles -------------------------------------------
 #
 # A handle is a value with signature handle(matrix, rhs, target_residual)
-# -> SolveReport; the interior point loop is written against this shape.
+# -> SolveReport; the interior point loop is written against this shape
+# and passes an AssembledSystem as ``matrix``. Every handle also takes a
+# bare matrix.
 
 def _derived_seed(seed: int, rhs: np.ndarray) -> int:
     # per-call seed: reproducible, but distinct across iterations
@@ -307,12 +384,16 @@ class CgSolver:
 
 @dataclass(frozen=True)
 class PcgSolver:
-    """CG with a diagonal (Jacobi) preconditioner."""
+    """CG with a diagonal (Jacobi) preconditioner.
+
+    The diagonal is the operator's: ``1 + rowsum(E_N**2)`` for MNES/PNES.
+    """
 
     def __call__(self, matrix, rhs, target_residual):
-        d = np.diag(np.asarray(matrix, dtype=float)).copy()
+        op = _operator(matrix)
+        d = op.diagonal()
         d[d <= 0] = 1.0
-        return solve_cg(matrix, rhs, target_residual, precondition=lambda v: v / d)
+        return solve_cg(op, rhs, target_residual, precondition=lambda v: v / d)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,71 @@ def test_loop_failures_carry_partial_trace(failure, records, message, monkeypatc
     assert [r.k for r in info.value.trace.records] == list(range(records))
 
 
+@pytest.mark.parametrize("where", ["solver", "assembly", "recovery"])
+def test_errors_raised_inside_a_step_carry_partial_trace(where, monkeypatch):
+    # a NotSPD from the handle, a BasisNotFound from PNES assembly and a
+    # SingularMatrix from NES recovery, each at iteration 3, leave the loop
+    # with the iterate that step started from and the three records before
+    from ifipm import ipm, newton
+
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=6))
+    calls = []
+    raised = {"solver": errors.NotSPD, "assembly": errors.BasisNotFound,
+              "recovery": errors.SingularMatrix}[where]
+
+    def failing(original):
+        def wrapped(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise raised("injected")
+            return original(*args)
+        return wrapped
+
+    kind = {"solver": SystemKind.MNES, "assembly": SystemKind.PNES,
+            "recovery": SystemKind.NES}[where]
+    params = IpmParams(zeta=1e-6, system=kind)
+    if where == "solver":
+        params = IpmParams(zeta=1e-6, system=kind, solver=failing(ExactSolver()))
+    elif where == "assembly":
+        monkeypatch.setattr(newton, "select_basis_mwb", failing(newton.select_basis_mwb))
+    else:
+        monkeypatch.setattr(ipm, "recover_direction", failing(ipm.recover_direction))
+    taken = []
+    with pytest.raises(raised, match="injected") as info:
+        if_ipm(preprocess(inst.lp), inst.start, params,
+               observer=lambda k, it, system, d, new: taken.append(new))
+    assert info.value.iterate is taken[2]
+    assert [r.k for r in info.value.trace.records] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
+def test_exact_basis_scaled_step_one_syrk_one_potrf(kind, monkeypatch):
+    # each exact MNES/PNES step factors its system once, from E_N, without
+    # the dense matrix or the symmetry probe
+    from scipy.linalg import blas, lapack
+
+    from ifipm import newton, solvers
+
+    counts = {"dsyrk": 0, "dpotrf": 0}
+    for module, name in ((blas, "dsyrk"), (lapack, "dpotrf")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def forbidden(*args):
+        raise AssertionError("dense matrix or symmetry probe used")
+
+    monkeypatch.setattr(newton.AssembledSystem, "matrix", property(forbidden))
+    monkeypatch.setattr(solvers, "_is_symmetric", forbidden)
+    inst = generate(GeneratorSpec(m=10, n=20, kappa_target=100.0, seed=4))
+    _, trace = if_ipm(preprocess(inst.lp), inst.start,
+                      IpmParams(zeta=1e-4, system=kind, solver=ExactSolver()))
+    assert len(trace.records) > 10
+    assert counts == {"dsyrk": len(trace.records), "dpotrf": len(trace.records)}
+
+
 @pytest.mark.parametrize("kind", list(SystemKind))
 def test_all_systems_reach_target(kind):
     inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=6))

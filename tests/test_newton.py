@@ -419,6 +419,29 @@ def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_re
     assert np.linalg.norm(lp.A @ d.dx, np.inf) <= bound
 
 
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 3), path=st.sampled_from(["mnes", "pnes-kept", "pnes-changed"]),
+       log_mu=st.floats(-10.0, 0.0), log_spread=st.floats(0.0, 3.0),
+       log_z=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_basis_scaled_matvec_matches_matrix(index, path, log_mu, log_spread, log_z, seed):
+    # the operator the solvers apply, z + E_N (E_N^T z), is the dense
+    # I + E_N E_N^T to rounding of the terms |z| + |E_N| |E_N|^T |z|
+    lp, prep = _recovery_instances()[index]
+    rng = np.random.default_rng(seed)
+    x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
+    if path != "mnes":
+        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.nonbasic))]
+        x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
+    it = Iterate(x, y, s)
+    sys = assemble(SystemKind.MNES if path == "mnes" else SystemKind.PNES, it, prep, 0.9)
+    assert (set(sys.basis_used.tolist()) == set(prep.basis)) == (path != "pnes-changed")
+    z = 10.0 ** log_z * rng.standard_normal(lp.m)
+    terms = np.abs(z) + np.abs(sys.E_N) @ (np.abs(sys.E_N).T @ np.abs(z))
+    tol = lp.n * np.finfo(float).eps
+    assert np.abs(sys.matvec(z) - sys.matrix @ z).max() <= tol * terms.max()
+    np.testing.assert_allclose(sys.diagonal(), np.diag(sys.matrix), rtol=tol, atol=0)
+
+
 @pytest.mark.parametrize("m, n", [(4, 9), (120, 240)])
 @pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
 def test_basis_scaled_matrix_structure(kind, m, n):

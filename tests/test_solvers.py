@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from ifipm import errors
+from ifipm import GeneratorSpec, errors
 from ifipm.solvers import (
+    EXACT_RTOL,
     CgSolver,
     ExactSolver,
     OracleSolver,
     PcgSolver,
+    RefiningSolver,
     inexact_oracle,
     refine_linear,
     solve_cg,
@@ -252,3 +254,102 @@ def test_cg_on_basis_preconditioned_system_vs_plain():
     preconditioned = iterations(SystemKind.PNES)
     assert preconditioned <= 10
     assert plain >= 10 * preconditioned
+
+
+def _systems(m=6, n=14, seed=3):
+    """One assembled system of every kind at a generated instance's start."""
+    from ifipm import SystemKind, assemble, generate, preprocess
+
+    inst = generate(GeneratorSpec(m=m, n=n, kappa_target=100.0, seed=seed))
+    prep = preprocess(inst.lp)
+    return {kind: assemble(kind, inst.start, prep, 0.9) for kind in SystemKind}
+
+
+def _count_factor_calls(monkeypatch):
+    """Patch the BLAS/LAPACK entry points the exact path uses; count calls."""
+    from scipy.linalg import blas, lapack
+
+    counts = {"dsyrk": 0, "dpotrf": 0, "dgetrf": 0}
+    for module, name in ((blas, "dsyrk"), (lapack, "dpotrf"), (lapack, "dgetrf")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_exact_solver_on_systems_meets_exact_rtol():
+    # every kind, as the loop passes it: an operator, not a bare matrix
+    for kind, sys in _systems().items():
+        rep = ExactSolver()(sys, sys.rhs, 0.0)
+        bound = EXACT_RTOL * (1.0 + np.linalg.norm(sys.rhs))
+        assert rep.achieved_residual <= bound, kind
+        assert np.linalg.norm(sys.rhs - sys.matrix @ rep.solution) <= 2.0 * bound, kind
+        expected = "cholesky" if sys.positive_definite else "lu"
+        assert rep.method == expected, kind
+
+
+def test_basis_scaled_factorization_kept_per_system(monkeypatch):
+    # one syrk and one potrf per system, however many solves reuse it
+    from ifipm import SystemKind
+
+    systems = _systems()
+    counts = _count_factor_calls(monkeypatch)
+    for kind in (SystemKind.MNES, SystemKind.PNES):
+        sys = systems[kind]
+        ExactSolver()(sys, sys.rhs, 0.0)
+        ExactSolver()(sys, 2.0 * sys.rhs, 0.0)
+        refining = RefiningSolver(inner=OracleSolver(seed=1), eps_inner=1e-1)
+        rep = refining(sys, sys.rhs, 1e-10 * np.linalg.norm(sys.rhs))
+        assert rep.iterations >= 2
+    assert counts == {"dsyrk": 2, "dpotrf": 2, "dgetrf": 0}
+
+
+@pytest.mark.parametrize("handle", [CgSolver(), PcgSolver()], ids=["cg", "pcg"])
+def test_iterative_solvers_never_form_the_matrix(handle, monkeypatch):
+    # CG and PCG apply z + E_N (E_N^T z); the dense matrix, the symmetry
+    # probe and any factorization stay untouched
+    from ifipm import SystemKind, newton, solvers
+
+    systems = _systems()
+    reference = {kind: systems[kind].matrix.copy()
+                 for kind in (SystemKind.MNES, SystemKind.PNES)}
+    systems = _systems()
+
+    def forbidden(*args):
+        raise AssertionError("dense matrix or symmetry probe used")
+
+    monkeypatch.setattr(newton.AssembledSystem, "matrix", property(forbidden))
+    monkeypatch.setattr(solvers, "_is_symmetric", forbidden)
+    counts = _count_factor_calls(monkeypatch)
+    for kind, dense in reference.items():
+        sys = systems[kind]
+        target = 1e-10 * np.linalg.norm(sys.rhs)
+        rep = handle(sys, sys.rhs, target)
+        assert rep.converged and rep.achieved_residual <= target
+        assert np.linalg.norm(sys.rhs - dense @ rep.solution) <= 1.01 * target
+    assert counts == {"dsyrk": 0, "dpotrf": 0, "dgetrf": 0}
+
+
+def test_no_system_reaches_the_symmetry_probe(monkeypatch):
+    # the flags come from the formulation record; only bare matrices are probed
+    from ifipm import solvers
+
+    probed = []
+    probe = solvers._is_symmetric
+    monkeypatch.setattr(solvers, "_is_symmetric",
+                        lambda M: probed.append(M) or probe(M))
+    for kind, sys in _systems().items():
+        ExactSolver()(sys, sys.rhs, 0.0)
+        OracleSolver(seed=2)(sys, sys.rhs, 1e-6)
+        if sys.symmetric:
+            try:
+                CgSolver()(sys, sys.rhs, 1e-6)
+            except errors.NotSPD:
+                assert not sys.positive_definite
+    assert probed == []
+    solve_exact(np.eye(3), np.ones(3))
+    assert len(probed) == 1
