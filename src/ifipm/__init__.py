@@ -26,6 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
 from . import errors
 from .problem import (
+    BasisFactors,
     Iterate,
     LinearProgram,
     PreprocessedProgram,

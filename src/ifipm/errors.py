@@ -17,8 +17,9 @@ class InputError(IfipmError):
 class SolveError(IfipmError):
     """A solver or the interior point loop failed at run time.
 
-    Raised by the loop, it carries the ``iterate`` it stopped at and the
-    ``trace`` of the steps taken so far; elsewhere both are None.
+    Raised by the loop or the refinement driver, it carries the
+    ``iterate`` it stopped at and the ``trace`` of the steps taken so far;
+    elsewhere both are None.
     """
 
     def __init__(self, message, iterate=None, trace=None):

@@ -308,7 +308,11 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     ``x.s / n <= zeta``. A loop that neither finishes nor contracts the
     gap by ``2 * zeta_hat`` raises :class:`~ifipm.errors.NoProgress`; a
     rescaled warm start that the inner loop rejects raises
-    :class:`~ifipm.errors.LeftNeighborhood`.
+    :class:`~ifipm.errors.LeftNeighborhood`, and ``max_loops`` loops
+    that do not reach ``zeta`` raise :class:`~ifipm.errors.SolverFailure`.
+    These three carry the accumulated iterate as ``iterate`` and the
+    last inner loop's ``trace``; an error raised inside an inner loop
+    carries that loop's own, in the coordinates of its scaled subproblem.
 
     The subproblem stop threshold is adapted per loop: a loop never runs
     deeper than needed to land the outer gap below ``n * zeta`` (running
@@ -340,7 +344,8 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
 
     while gap / lp.n > zeta:
         if len(states) >= max_loops:
-            raise errors.SolverFailure(f"refinement budget of {max_loops} loops exhausted")
+            raise errors.SolverFailure(f"refinement budget of {max_loops} loops exhausted",
+                                       iterate=current, trace=trace)
         prev_gap = gap
         scale = 1.0 / gap
         mu_warm = scale / lp.n  # warm-start measure of the scaled subproblem
@@ -356,7 +361,8 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
             # the warm start is derived from a valid run, so this is a
             # numerical failure of the refinement, not an input error
             raise errors.LeftNeighborhood(
-                f"loop {len(states) + 1}: rescaled warm start rejected: {exc}") from exc
+                f"loop {len(states) + 1}: rescaled warm start rejected: {exc}",
+                iterate=current, trace=trace) from exc
         x_new = refined.x / scale
         y_new = current.y + refined.y / scale
         # the subproblem's own slack equals c - A^T y_new in exact
@@ -372,5 +378,6 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         if gap / lp.n > zeta and gap > 2.0 * zeta_hat * prev_gap:
             raise errors.NoProgress(
                 f"loop {len(states)}: gap contracted only {gap / prev_gap:.3e}, "
-                f"needs <= {2.0 * zeta_hat:.3e}")
+                f"needs <= {2.0 * zeta_hat:.3e}",
+                iterate=current, trace=trace)
     return current, states

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import errors
-from .problem import Iterate, LinearProgram, PreprocessedProgram
+from .problem import BasisFactors, Iterate, LinearProgram, PreprocessedProgram
 
 __all__ = [
     "SystemKind",
@@ -123,11 +123,9 @@ class AssembledSystem:
     those of the kind's :class:`Formulation`.
 
     The basis-scaled kinds also carry what their recovery consumes: the
-    basis behind them (``basis_used``, an integer index array, and
-    ``nonbasic`` for the other columns in increasing order),
-    ``basis_inverse``, ``A_hat_N = basis_inverse @ A[:, nonbasic]``,
-    ``d_B``, the scaling ``sqrt(x/s)`` on the basis, and ``E_N``, the
-    scaled nonbasic block.
+    :class:`~ifipm.problem.BasisFactors` record of the basis behind them
+    (``basis``), ``d_B``, the scaling ``sqrt(x/s)`` on the basis, and
+    ``E_N``, the scaled nonbasic block.
     """
 
     kind: SystemKind
@@ -136,10 +134,7 @@ class AssembledSystem:
     beta: float
     dense: Optional[np.ndarray] = field(default=None, repr=False)
     E_N: Optional[np.ndarray] = None
-    basis_used: Optional[np.ndarray] = None
-    nonbasic: Optional[np.ndarray] = None
-    basis_inverse: Optional[np.ndarray] = None
-    A_hat_N: Optional[np.ndarray] = None
+    basis: Optional[BasisFactors] = None
     d_B: Optional[np.ndarray] = None
 
     @property
@@ -230,13 +225,12 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     measured by the orthogonal remainder exceeding ``1e-10`` of the
     column norm. Returns exactly m indices in acceptance order.
 
-    ``held`` is an iterable of ``(basis_index, certificate)`` pairs for
-    bases whose inverse the caller already has. The certificate is the
-    inverse ``A_B^{-1}`` itself, or the number
-    ``max_{j in B} ||a_j|| * ||A_B^{-1}||_F`` computed from it, which
-    :meth:`~ifipm.problem.PreprocessedProgram.held_bases` keeps per
-    basis. When the first m columns in ratio order are, as a set, a held
-    basis ``B`` with ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``,
+    ``held`` is an iterable of :class:`~ifipm.problem.BasisFactors`
+    records of bases whose inverse the caller already has; only their
+    ``index`` and ``certificate``, ``max_{j in B} ||a_j|| *
+    ||A_B^{-1}||_F``, are read. When the first m columns in ratio order
+    are, as a set, a held basis ``B`` with
+    ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``,
     the greedy would accept them all, and they are returned without
     running it: the remainder of any column of ``B`` against any subset
     of the others is at least ``sigma_min(A_B) >= 1 / ||A_B^{-1}||_F``,
@@ -257,15 +251,10 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
         raise errors.SingularDiagonal("basis selection needs a strictly interior iterate")
     order = np.lexsort((np.arange(n), -(it.x / it.s)))
     top = np.sort(order[:m])
-    for basis_index, certificate in held:
-        if np.array_equal(top, np.sort(basis_index)):
-            if np.ndim(certificate):  # an inverse: bound it here
-                top_norms = np.linalg.norm(A[:, top], axis=0)
-                # a zero column rules out an invertible A_B, whatever is passed
-                certificate = (top_norms.max() * np.linalg.norm(certificate)
-                               if top_norms.min() > 0.0 else math.inf)
-            if 2.0 * MWB_TOL * certificate < 1.0:
-                return order[:m].tolist()
+    for factors in held:
+        if (np.array_equal(top, np.sort(factors.index))
+                and 2.0 * MWB_TOL * factors.certificate < 1.0):
+            return order[:m].tolist()
     norms = np.linalg.norm(A, axis=0)
     order = order[norms[order] > 0.0]
     Q = np.empty((m, m))
@@ -291,30 +280,23 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     return chosen
 
 
-def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
-                    beta: float, basis) -> AssembledSystem:
-    """Assembly of the basis-scaled normal equations.
+def _basis_products(kind: SystemKind, it: Iterate, beta: float,
+                    factors: BasisFactors) -> AssembledSystem:
+    """Assembly of the basis-scaled normal equations from one basis record.
 
-    ``basis=None``, or any ordering of the preprocessing basis, reuses the
-    fixed preprocessing products. Any other basis takes its products from
-    :meth:`~ifipm.problem.PreprocessedProgram.basis_factors`, in
-    increasing index order, so the system does not depend on the
-    acceptance order or on whether the products were kept from an earlier
-    call. The basis block of ``A_hat = basis_inverse @ A`` is the
+    MNES passes the program's ``factors``, PNES the record
+    :meth:`~ifipm.problem.PreprocessedProgram.factors_for` gives for the
+    selected basis. The basis block of ``A_hat = A_B^{-1} A`` is the
     identity, so with ``E_N = A_hat_N D_N / d_B`` the matrix is
     ``I + E_N E_N^T`` and ``A_hat @ x = x_B + A_hat_N @ x_N``; only the
     nonbasic block is multiplied. The scaled right-hand side is built from
-    ``A_hat @ x``, not from ``basis_inverse @ b``: with it, the solved
+    ``A_hat @ x``, not from ``A_B^{-1} b``: with it, the solved
     system gives ``A_hat dx = 0``, so recovery can take ``dx`` on the
     basis from ``dx`` off it. The ``b`` form would have the step also
     absorb the iterate's float-level primal infeasibility, which that
     re-derivation discards.
     """
-    if basis is None or set(basis) == set(prep.basis):
-        B, N = prep.basis_index, prep.nonbasic
-        basis_inverse, A_hat_N = prep.basis_inverse, prep.A_hat_N
-    else:
-        B, N, basis_inverse, A_hat_N = prep.basis_factors(basis)
+    B, N, A_hat_N = factors.index, factors.nonbasic, factors.A_hat_N
     d = np.sqrt(it.x / it.s)
     d_B = d[B]
     E_N = A_hat_N * d[N]
@@ -327,10 +309,7 @@ def _basis_products(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
         mu=it.mu,
         beta=beta,
         E_N=E_N,
-        basis_used=B,
-        nonbasic=N,
-        basis_inverse=basis_inverse,
-        A_hat_N=A_hat_N,
+        basis=factors,
         d_B=d_B,
     )
 
@@ -416,17 +395,17 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     """Direction from an MNES/PNES assembly and a solve of it.
 
     With ``r_hat = system.matvec(z_tilde) - system.rhs`` and ``B``/``N``
-    the basis and nonbasic positions, the recovery is
+    the basis and nonbasic positions of ``system.basis``, the recovery is
 
-        dy    = (basis_inverse)^T (z_tilde / d_B)
+        dy    = (A_B^{-1})^T (z_tilde / d_B)
         v     = (d_B * r_hat) on B, 0 on N
         ds    = -A^T dy
         dx    = beta mu / s - x - (x/s) ds - v
         dx[B] = -A_hat_N @ dx[N]
-        dx[B] -= basis_inverse @ (A @ dx)
+        dx[B] -= A_B^{-1} @ (A @ dx)
 
     In exact arithmetic the last two lines change nothing:
-    ``basis_inverse @ A @ dx = dx[B] + A_hat_N @ dx[N] = 0`` already
+    ``A_B^{-1} @ A @ dx = dx[B] + A_hat_N @ dx[N] = 0`` already
     holds. In floating point the formula's terms on ``B`` are orders of
     magnitude larger than the result when ``||v||`` is large, and their
     cancellation would leave ``A dx`` at ``eps * ||v||``; taking ``dx[B]``
@@ -442,14 +421,15 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     """
     lp = prep.base
     r_hat = system.matvec(z_tilde) - system.rhs
-    B, N = system.basis_used, system.nonbasic
-    dy = system.basis_inverse.T @ (z_tilde / system.d_B)
+    factors = system.basis
+    B, N = factors.index, factors.nonbasic
+    dy = factors.inverse.T @ (z_tilde / system.d_B)
     v = np.zeros(lp.n)
     v[B] = system.d_B * r_hat
     ds = -(lp.A.T @ dy)
     dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
-    dx[B] = -(system.A_hat_N @ dx[N])
-    dx[B] -= system.basis_inverse @ (lp.A @ dx)
+    dx[B] = -(factors.A_hat_N @ dx[N])
+    dx[B] -= factors.inverse @ (lp.A @ dx)
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
                      system=system.kind)
 
@@ -552,13 +532,13 @@ FORMULATIONS = {
         lambda *args: recover_direction_oss(*args)),
     SystemKind.MNES: Formulation(
         True, True,
-        lambda kind, it, prep, beta: _basis_products(kind, it, prep, beta, None),
+        lambda kind, it, prep, beta: _basis_products(kind, it, beta, prep.factors),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),
     SystemKind.PNES: Formulation(
         True, True,
         lambda kind, it, prep, beta: _basis_products(
-            kind, it, prep, beta,
-            select_basis_mwb(it, prep.base.A, prep.held_bases())),
+            kind, it, beta,
+            prep.factors_for(select_basis_mwb(it, prep.base.A, prep.held_bases()))),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),
 }
 

@@ -21,6 +21,7 @@ from . import errors
 __all__ = [
     "LinearProgram",
     "Iterate",
+    "BasisFactors",
     "PreprocessedProgram",
     "ResidualReport",
     "residuals",
@@ -106,70 +107,88 @@ class Iterate:
 
 
 @dataclass(frozen=True, eq=False)
+class BasisFactors:
+    """The products of one basis that MNES/PNES assembly, the
+    maximum-weight basis selection and recovery read.
+
+    ``index`` lists the m basis columns as an integer index array and
+    ``nonbasic`` the remaining n - m in increasing order; ``inverse``
+    inverts ``A[:, index]`` and ``A_hat_N = inverse @ A[:, nonbasic]`` is
+    the nonbasic block of the basis-scaled matrix ``inverse @ A``, whose
+    basis block is the identity and is not stored. ``certificate`` is
+    ``max_{j in B} ||a_j|| * ||inverse||_F``, which
+    :func:`~ifipm.newton.select_basis_mwb` compares with its rank
+    threshold. :meth:`of` builds the record.
+    """
+
+    index: np.ndarray
+    nonbasic: np.ndarray
+    inverse: np.ndarray
+    A_hat_N: np.ndarray
+    certificate: float
+
+    @classmethod
+    def of(cls, A: np.ndarray, basis) -> "BasisFactors":
+        """The record of ``basis``, its columns in the order given.
+
+        One residual-correction pass on ``A_hat_N`` pushes ``A_B @ A_hat_N
+        - A_N`` from the ``eps * kappa(A_B)`` level down to machine level,
+        which keeps the per-step feasibility drift of the basis-corrected
+        directions flat on ill-conditioned instances. Raises
+        :class:`~ifipm.errors.SingularBasis` if the inversion fails.
+        """
+        index = np.array(basis, dtype=np.intp)
+        nonbasic = np.setdiff1d(np.arange(A.shape[1]), index)
+        A_B, A_N = A[:, index], A[:, nonbasic]
+        try:
+            inverse = np.linalg.inv(A_B)
+        except np.linalg.LinAlgError as exc:
+            raise errors.SingularBasis(str(exc)) from exc
+        A_hat_N = inverse @ A_N
+        A_hat_N += inverse @ (A_N - A_B @ A_hat_N)
+        certificate = float(np.linalg.norm(A_B, axis=0).max() * np.linalg.norm(inverse))
+        return cls(index, nonbasic, inverse, A_hat_N, certificate)
+
+
+@dataclass(frozen=True, eq=False)
 class PreprocessedProgram:
     """A program together with a fixed basis and its derived products.
 
-    ``basis`` lists m column indices whose submatrix is invertible,
-    ``basis_index`` holds them as an integer index array and ``nonbasic``
-    the remaining n - m in increasing order; ``basis_inverse`` is that
-    submatrix's inverse and ``A_hat_N = basis_inverse @ A[:, nonbasic]``
-    the nonbasic block of the basis-scaled matrix ``basis_inverse @ A``,
-    whose basis block is the identity and is not stored. The cached
+    ``basis`` lists m column indices whose submatrix is invertible and
+    ``factors`` is its :class:`BasisFactors`, in that order. The cached
     properties are per-program constants that some Newton-system kinds
-    need, each computed on first use. :meth:`basis_factors` gives the same
-    products for any other basis and keeps the last one;
-    :meth:`held_bases` lists the bases whose inverse the program holds.
+    need, each computed on first use. :meth:`factors_for` gives the
+    record of any other basis and keeps the last one; :meth:`held_bases`
+    lists the records the program holds.
     """
 
     base: LinearProgram
     basis: tuple
-    basis_index: np.ndarray
-    nonbasic: np.ndarray
-    basis_inverse: np.ndarray
-    A_hat_N: np.ndarray
-    _basis_memo: Optional[tuple] = field(default=None, init=False, repr=False)
+    factors: BasisFactors
+    _kept: Optional[BasisFactors] = field(default=None, init=False, repr=False)
 
-    def basis_factors(self, basis) -> tuple:
-        """``(basis_index, nonbasic, basis_inverse, A_hat_N)`` for another basis.
+    def factors_for(self, basis) -> BasisFactors:
+        """:attr:`factors` if ``basis`` is the preprocessing set, else the
+        record of ``basis`` in increasing index order.
 
-        The products are built for the basis in increasing order, whatever
-        the order of ``basis``, and the last set asked for is kept: a
-        repeated set costs nothing, and the result does not depend on
-        whether it was kept or built. Raises
-        :class:`~ifipm.errors.SingularBasis` if the inversion fails.
+        Whatever the order of ``basis``, the result is the same: the
+        record of the last other set asked for is kept, so a repeated set
+        costs nothing, and a kept record equals a newly built one.
         """
-        key = tuple(sorted(int(j) for j in basis))
-        memo = self._basis_memo
-        if memo is None or memo[0] != key:
-            basis_index, nonbasic, basis_inverse, A_hat_N = _inverse_products(
-                self.base.A, key)
-            memo = (key, basis_index, nonbasic, basis_inverse, A_hat_N,
-                    self._certificate(basis_index, basis_inverse))
-            object.__setattr__(self, "_basis_memo", memo)
-        return memo[1:5]
+        key = sorted(int(j) for j in basis)
+        if key == sorted(self.basis):
+            return self.factors
+        kept = self._kept
+        if kept is None or kept.index.tolist() != key:
+            kept = BasisFactors.of(self.base.A, key)
+            object.__setattr__(self, "_kept", kept)
+        return kept
 
     def held_bases(self) -> tuple:
-        """``(basis_index, certificate)`` of the preprocessing basis and of
-        the set :meth:`basis_factors` keeps, if any, for
-        :func:`~ifipm.newton.select_basis_mwb`. The certificate is
-        ``max_{j in B} ||a_j|| * ||basis_inverse||_F``, computed once per
-        basis."""
-        held = ((self.basis_index, self._preprocessing_certificate),)
-        memo = self._basis_memo
-        return held if memo is None else held + ((memo[1], memo[5]),)
-
-    def _certificate(self, basis_index, basis_inverse) -> float:
-        return float(self.column_norms[basis_index].max()
-                     * np.linalg.norm(basis_inverse))
-
-    @cached_property
-    def _preprocessing_certificate(self) -> float:
-        return self._certificate(self.basis_index, self.basis_inverse)
-
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        """2-norm of every column of A (maximum-weight basis certificates)."""
-        return np.linalg.norm(self.base.A, axis=0)
+        """:attr:`factors` and the record :meth:`factors_for` keeps, if
+        any, for :func:`~ifipm.newton.select_basis_mwb`."""
+        kept = self._kept
+        return (self.factors,) if kept is None else (self.factors, kept)
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -184,9 +203,12 @@ class PreprocessedProgram:
         return float(np.linalg.norm(self.base.A, 2))
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """``A @ A.T`` (NES pseudoinverse correction)."""
-        return self.base.A @ self.base.A.T
+    def gram(self):
+        """``A @ A.T`` as a solver operator that keeps its factorization
+        (NES pseudoinverse correction); its ``matrix`` is the product."""
+        from .solvers import _Matrix
+
+        return _Matrix(self.base.A @ self.base.A.T)
 
 
 @dataclass(frozen=True)
@@ -242,28 +264,6 @@ def _auto_basis(A: np.ndarray) -> list:
     return sorted(int(j) for j in piv[:m])
 
 
-def _inverse_products(A: np.ndarray, basis) -> tuple:
-    """``(basis_index, nonbasic, basis_inverse, A_hat_N)`` of one basis.
-
-    ``basis_inverse`` inverts ``A[:, basis]`` and ``A_hat_N =
-    basis_inverse @ A[:, nonbasic]``. One residual-correction pass on the
-    product pushes ``A_B @ A_hat_N - A_N`` from the ``eps * kappa(A_B)``
-    level down to machine level, which keeps the per-step feasibility
-    drift of the basis-corrected directions flat on ill-conditioned
-    instances.
-    """
-    basis_index = np.array(basis, dtype=np.intp)
-    nonbasic = np.setdiff1d(np.arange(A.shape[1]), basis_index)
-    A_B, A_N = A[:, basis_index], A[:, nonbasic]
-    try:
-        basis_inverse = np.linalg.inv(A_B)
-    except np.linalg.LinAlgError as exc:
-        raise errors.SingularBasis(str(exc)) from exc
-    A_hat_N = basis_inverse @ A_N
-    A_hat_N += basis_inverse @ (A_N - A_B @ A_hat_N)
-    return basis_index, nonbasic, basis_inverse, A_hat_N
-
-
 def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     """Fix a basis and precompute its inverse products.
 
@@ -282,4 +282,4 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
     if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
         raise errors.SingularBasis("supplied basis columns are linearly dependent")
-    return PreprocessedProgram(lp, tuple(basis), *_inverse_products(lp.A, basis))
+    return PreprocessedProgram(lp, tuple(basis), BasisFactors.of(lp.A, basis))

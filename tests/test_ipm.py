@@ -346,6 +346,38 @@ def test_rejected_warm_start_names_the_loop(monkeypatch):
         ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
 
 
+@pytest.mark.parametrize("failure", ["no-progress", "loop-budget", "warm-start"])
+def test_refinement_raises_carry_partial_state(failure, monkeypatch):
+    # the driver's own raises carry the accumulated iterate and the last
+    # inner loop's trace, as the inner loop's raises carry theirs
+    from ifipm import ipm
+
+    inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
+    original, runs = ipm.if_ipm, []
+
+    def second_loop_fails(prep, start, params, observer=None):
+        if failure == "warm-start" and len(runs) == 1:
+            raise errors.NotInNeighborhood("start is outside the neighborhood")
+        final, trace = original(prep, start, params, observer)
+        runs.append((final, trace))
+        if failure == "no-progress" and len(runs) == 2:
+            return start, trace  # back at its warm start: the gap does not contract
+        return final, trace
+
+    monkeypatch.setattr(ipm, "if_ipm", second_loop_fails)
+    raised = {"no-progress": errors.NoProgress, "loop-budget": errors.SolverFailure,
+              "warm-start": errors.LeftNeighborhood}[failure]
+    with pytest.raises(raised) as info:
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams(),
+                  max_loops=1 if failure == "loop-budget" else 64)
+    assert info.value.trace is runs[-1][1]
+    if failure == "no-progress":  # loop 1's iterate, rescaled there and back
+        np.testing.assert_allclose(info.value.iterate.x, runs[0][0].x, rtol=1e-12)
+        np.testing.assert_allclose(info.value.iterate.s, runs[0][0].s, rtol=1e-12)
+    else:
+        assert info.value.iterate is runs[0][0]
+
+
 def test_refinement_scale_equivalence():
     # iterates of the scaled run are exactly the scale times the
     # iterates of the unscaled run, and neighborhood membership matches
@@ -439,7 +471,7 @@ def test_pnes_skips_the_qr_on_held_sets(monkeypatch):
         held = list(held)
         m, n = A.shape
         top = frozenset(np.lexsort((np.arange(n), -(it.x / it.s)))[:m].tolist())
-        is_held = top in {frozenset(index.tolist()) for index, _ in held}
+        is_held = top in {frozenset(factors.index.tolist()) for factors in held}
         before = len(qrs)
         basis = select(it, A, held)
         calls.append((is_held, len(qrs) - before))
@@ -457,14 +489,15 @@ def test_pnes_skips_the_qr_on_held_sets(monkeypatch):
 
 def test_nes_program_constants_computed_once(monkeypatch):
     # ||A||_2 (residual target) and A A^T (correction solve) are constants
-    # of the program, computed once however many iterations run
+    # of the program, computed once however many iterations run, and so is
+    # the factorization of A A^T
     from ifipm import solvers
 
     inst = generate(GeneratorSpec(m=5, n=11, seed=7))
     A = inst.lp.A
     gram = A @ A.T
-    norms, grams = [], []
-    norm, solve_exact = np.linalg.norm, solvers.solve_exact
+    norms, grams, factorizations = [], [], []
+    norm, solve_exact, factorize = np.linalg.norm, solvers.solve_exact, solvers.factorize
 
     def counted_norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
@@ -472,18 +505,25 @@ def test_nes_program_constants_computed_once(monkeypatch):
         return norm(x, ord, *args, **kwargs)
 
     def counted_solve(matrix, rhs):
-        if np.array_equal(matrix, gram):
+        if np.array_equal(matrix.matrix, gram):
             grams.append(matrix)
         return solve_exact(matrix, rhs)
 
+    def counted_factorize(operator):
+        if np.array_equal(operator.matrix, gram):
+            factorizations.append(operator)
+        return factorize(operator)
+
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     monkeypatch.setattr(solvers, "solve_exact", counted_solve)
+    monkeypatch.setattr(solvers, "factorize", counted_factorize)
     _, trace = if_ipm(preprocess(inst.lp), inst.start,
                       IpmParams(zeta=1e-3, system=SystemKind.NES))
     assert len(trace.records) > 1
     assert len(norms) == 1
     assert len(grams) == len(trace.records)
     assert all(g is grams[0] for g in grams)
+    assert len(factorizations) == 1
 
 
 def test_condition_numbers_are_opt_in(monkeypatch):

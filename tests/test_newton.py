@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ifipm import (
+    BasisFactors,
     GeneratorSpec,
     Iterate,
     LinearProgram,
@@ -83,7 +84,7 @@ def test_mnes_matrix_is_factor_product(central_instance):
         sys = assemble(kind, it, prep, beta=0.9)
         np.testing.assert_allclose(sys.matrix, np.eye(sys.matrix.shape[0])
                                    + sys.E_N @ sys.E_N.T, atol=1e-10)
-        assert sys.basis_used is not None
+        assert sys.basis is not None
 
 
 def test_boundary_iterate_rejected(central_instance):
@@ -165,26 +166,28 @@ def _mwb_outcome(select, it, A, *args):
         return "BasisNotFound"
 
 
-def _held_pairs(rng, it, A, held):
-    """``held`` argument for a draw: the top-m ratio columns with their
-    inverse, if they are invertible, in ratio or in shuffled order, with
-    or without a decoy pair for another set."""
+def _held_records(rng, it, A, held):
+    """``held`` argument for a draw: the record of the top-m nonzero ratio
+    columns, if they are invertible, in ratio or in shuffled order, with
+    or without a decoy record for another set."""
     m, n = A.shape
     order = np.lexsort((np.arange(n), -(it.x / it.s)))
     top = order[np.linalg.norm(A[:, order], axis=0) > 0.0][:m]
-    pairs = []
+    records = []
     if held != "none" and top.size == m:
         if held == "shuffled":
             top = rng.permutation(top)
         try:
-            pairs.append((top, np.linalg.inv(A[:, top])))
-        except np.linalg.LinAlgError:
+            records.append(BasisFactors.of(A, top))
+        except errors.SingularBasis:
             pass
-    if n > m and rng.integers(2):  # a small inverse that a match would certify
+    if n > m and rng.integers(2):  # a small certificate that a match would pass
         decoy = rng.choice(n, m, replace=False)
-        if set(decoy.tolist()) != set(top.tolist()):
-            pairs.insert(int(rng.integers(len(pairs) + 1)), (decoy, np.eye(m)))
-    return pairs
+        if set(decoy.tolist()) not in (set(top.tolist()), set(order[:m].tolist())):
+            # the selection reads only a record's index and certificate
+            records.insert(int(rng.integers(len(records) + 1)),
+                           BasisFactors(decoy, None, None, None, certificate=1.0))
+    return records
 
 
 @settings(max_examples=400, deadline=None)
@@ -221,8 +224,8 @@ def test_mwb_matches_column_by_column_greedy(m, extra, structure, tied, held, se
         A[:, j] = A[:, i] + scale * noise / np.linalg.norm(noise)
         x[[i, j]] = x.max() + 1.0
     it = Iterate(x, np.zeros(m), np.ones(n))
-    pairs = _held_pairs(rng, it, A, held)
-    assert (_mwb_outcome(select_basis_mwb, it, A, pairs)
+    records = _held_records(rng, it, A, held)
+    assert (_mwb_outcome(select_basis_mwb, it, A, records)
             == _mwb_outcome(_reference_mwb, it, A))
 
 
@@ -247,7 +250,25 @@ def test_pnes_assembly_independent_of_kept_factors(central_instance):
     warm = assemble(SystemKind.PNES, it, warm_prep, beta=0.9)
     np.testing.assert_array_equal(warm.matrix, cold.matrix)
     np.testing.assert_array_equal(warm.rhs, cold.rhs)
-    np.testing.assert_array_equal(warm.A_hat_N, cold.A_hat_N)
+    np.testing.assert_array_equal(warm.basis.A_hat_N, cold.basis.A_hat_N)
+
+
+def test_assemblies_share_one_basis_record(central_instance):
+    # MNES reads the program's own record; PNES assemblies that select one
+    # other set, in any acceptance order, read the one record kept for it
+    lp = central_instance.lp
+    prep = preprocess(lp)
+    assert assemble(SystemKind.MNES, central_instance.start, prep, 0.9).basis is prep.factors
+    chosen = [j for j in range(lp.n) if j not in prep.basis][:lp.m]
+    systems = []
+    for lead in (chosen, chosen[::-1]):
+        x = np.ones(lp.n)
+        x[lead] = 2.0 + np.arange(lp.m)
+        it = Iterate(x, np.zeros(lp.m), np.ones(lp.n))
+        systems.append(assemble(SystemKind.PNES, it, prep, 0.9))
+    first, second = systems
+    assert first.basis is second.basis is prep.held_bases()[1]
+    assert first.basis.index.tolist() == sorted(chosen)
 
 
 def test_mwb_recovers_optimal_partition(optimal_instance):
@@ -369,12 +390,12 @@ def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_re
     # I + E_N E_N^T and x_B + A_hat_N x_N are the full-width E E^T and
     # A_hat x with the identity block multiplied out, so both sides agree
     # to rounding; "pnes-kept" selects the preprocessing basis set,
-    # "pnes-changed" another one, whose products basis_factors builds
+    # "pnes-changed" another one, whose record factors_for builds
     lp, prep = _recovery_instances()[index]
     rng = np.random.default_rng(seed)
     x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
     if path != "mnes":
-        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.nonbasic))]
+        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.factors.nonbasic))]
         x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
     it = Iterate(x, y, s)
     beta = 0.9
@@ -384,17 +405,17 @@ def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_re
     if path == "pnes-changed":
         basis = sorted(select_basis_mwb(it, lp.A))
         assert set(basis) != set(prep.basis)
-    assert sys.basis_used.tolist() == basis
+    assert sys.basis.index.tolist() == basis
 
     eps = np.finfo(float).eps
     tol = lp.n * eps
     matrix, rhs, A_hat, basis_inverse, recover = _reference_basis_scaled(
-        it, lp, basis, sys.A_hat_N, beta)
+        it, lp, basis, sys.basis.A_hat_N, beta)
     # the stored block is the old full-width product's nonbasic block
     A_B = lp.A[:, basis]
     full = basis_inverse @ lp.A
     full += basis_inverse @ (lp.A - A_B @ full)
-    np.testing.assert_allclose(full[:, sys.nonbasic], sys.A_hat_N, rtol=0,
+    np.testing.assert_allclose(full[:, sys.basis.nonbasic], sys.basis.A_hat_N, rtol=0,
                                atol=tol * np.linalg.cond(A_B) * np.abs(full).max())
 
     assert np.abs(sys.matrix - matrix).max() <= tol * np.abs(matrix).max()
@@ -430,11 +451,11 @@ def test_basis_scaled_matvec_matches_matrix(index, path, log_mu, log_spread, log
     rng = np.random.default_rng(seed)
     x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
     if path != "mnes":
-        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.nonbasic))]
+        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.factors.nonbasic))]
         x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
     it = Iterate(x, y, s)
     sys = assemble(SystemKind.MNES if path == "mnes" else SystemKind.PNES, it, prep, 0.9)
-    assert (set(sys.basis_used.tolist()) == set(prep.basis)) == (path != "pnes-changed")
+    assert (set(sys.basis.index.tolist()) == set(prep.basis)) == (path != "pnes-changed")
     z = 10.0 ** log_z * rng.standard_normal(lp.m)
     terms = np.abs(z) + np.abs(sys.E_N) @ (np.abs(sys.E_N).T @ np.abs(z))
     tol = lp.n * np.finfo(float).eps
@@ -727,7 +748,7 @@ def test_kept_basis_factors_are_thread_safe(central_instance):
         ref = cold[k % 2]
         return (np.array_equal(sys_k.matrix, ref.matrix)
                 and np.array_equal(sys_k.rhs, ref.rhs)
-                and np.array_equal(sys_k.basis_inverse, ref.basis_inverse))
+                and np.array_equal(sys_k.basis.inverse, ref.basis.inverse))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -750,6 +771,6 @@ def test_mnes_equals_pnes_on_matching_basis(central_instance):
     assert sorted(select_basis_mwb(it, lp.A)) == sorted(prep.basis)
     mnes = assemble(SystemKind.MNES, it, prep, beta=0.9)
     pnes = assemble(SystemKind.PNES, it, prep, beta=0.9)
-    perm = [list(pnes.basis_used).index(j) for j in prep.basis]
+    perm = [list(pnes.basis.index).index(j) for j in prep.basis]
     np.testing.assert_allclose(pnes.matrix[np.ix_(perm, perm)], mnes.matrix,
                                atol=1e-10)

@@ -93,7 +93,7 @@ def test_preprocess_identity_prefix():
     A = np.hstack([np.eye(3), N])
     lp = LinearProgram(A, np.arange(1.0, 4.0), np.ones(7))
     prep = preprocess(lp, basis=[0, 1, 2])
-    np.testing.assert_allclose(prep.A_hat_N, N, atol=1e-14)
+    np.testing.assert_allclose(prep.factors.A_hat_N, N, atol=1e-14)
 
 
 def test_preprocess_duplicate_columns_rejected():
@@ -110,8 +110,8 @@ def test_preprocess_identity_block_postcondition():
     prep = preprocess(lp)
     # the identity block is implied by storage; the stored nonbasic block
     # must reproduce the nonbasic columns through the basis
-    A_B, A_N = lp.A[:, list(prep.basis)], lp.A[:, prep.nonbasic]
-    np.testing.assert_allclose(A_B @ prep.A_hat_N, A_N, atol=1e-10)
+    A_B, A_N = lp.A[:, list(prep.basis)], lp.A[:, prep.factors.nonbasic]
+    np.testing.assert_allclose(A_B @ prep.factors.A_hat_N, A_N, atol=1e-10)
 
 
 def test_preprocess_idempotent_in_effect():
@@ -120,4 +120,4 @@ def test_preprocess_idempotent_in_effect():
                        rng.standard_normal(9))
     prep = preprocess(lp)
     again = preprocess(lp, basis=prep.basis)
-    np.testing.assert_allclose(again.A_hat_N, prep.A_hat_N, atol=1e-12)
+    np.testing.assert_allclose(again.factors.A_hat_N, prep.factors.A_hat_N, atol=1e-12)
