@@ -250,16 +250,14 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
                 return it, _trace(records, pcheck, params)
             if k == max_it:
                 raise errors.MaxIterations(
-                    f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations",
-                    iterate=it, trace=_trace(records, pcheck, params))
+                    f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations")
             system = assemble(params.system, it, prep, beta)
             target = solve_target(params.system, it, prep, params.eta, params.theta)
             report = params.solver(system, system.rhs, target)
             if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
                 raise errors.SolverFailure(
                     f"iteration {k}: residual {report.achieved_residual:.3e} "
-                    f"misses target {target:.3e} ({report.method})",
-                    iterate=it, trace=_trace(records, pcheck, params))
+                    f"misses target {target:.3e} ({report.method})")
             direction = recover_direction(system, report.solution, it, prep)
             new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
                              it.s + direction.ds)
@@ -280,22 +278,26 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
                 observer(k, it, system, direction, new_it)
             if not inside:
                 raise errors.LeftNeighborhood(
-                    f"iterate {k + 1} left the theta={params.theta} neighborhood",
-                    iterate=it, trace=_trace(records, pcheck, params))
+                    f"iterate {k + 1} left the theta={params.theta} neighborhood")
             if (r_new.primal_inf > FEAS_RTOL * b_scale
                     or r_new.dual_inf > FEAS_RTOL * c_scale):
                 raise errors.LeftNeighborhood(
                     f"iterate {k + 1} lost feasibility: primal {r_new.primal_inf:.2e}, "
-                    f"dual {r_new.dual_inf:.2e}",
-                    iterate=it, trace=_trace(records, pcheck, params))
+                    f"dual {r_new.dual_inf:.2e}")
             it = new_it
     except errors.SolveError as exc:
-        # raised inside assembly, the solver or recovery: carry the
-        # partial trace as the loop's own raises do
+        # the loop's own raises and those inside assembly, the solver or
+        # recovery: carry the step's start and the partial trace
         if exc.iterate is None and exc.trace is None:
             exc.iterate, exc.trace = it, _trace(records, pcheck, params)
         raise
     raise AssertionError("unreachable")  # loop always returns or raises
+
+
+def _unscaled(sub: Iterate, current: Iterate, scale: float) -> Iterate:
+    """A subproblem iterate in the caller's coordinates. Its own slack is
+    kept; ``c - A^T y``, equal in exact arithmetic, can cancel to <= 0."""
+    return Iterate(sub.x / scale, current.y + sub.y / scale, sub.s / scale)
 
 
 def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
@@ -311,8 +313,9 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     :class:`~ifipm.errors.LeftNeighborhood`, and ``max_loops`` loops
     that do not reach ``zeta`` raise :class:`~ifipm.errors.SolverFailure`.
     These three carry the accumulated iterate as ``iterate`` and the
-    last inner loop's ``trace``; an error raised inside an inner loop
-    carries that loop's own, in the coordinates of its scaled subproblem.
+    last inner loop's ``trace``. An error raised inside an inner loop
+    carries that loop's own, its message prefixed with ``loop k: `` and
+    its iterate mapped back to the caller's program.
 
     The subproblem stop threshold is adapted per loop: a loop never runs
     deeper than needed to land the outer gap below ``n * zeta`` (running
@@ -334,8 +337,12 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         raise errors.InvalidParameters("zeta_hat must lie in (0, 1)")
     prep = preprocess(lp, basis)
 
-    current, trace = if_ipm(prep, start, replace(params, zeta=zeta_hat,
-                                                 max_iterations=0))
+    try:
+        current, trace = if_ipm(prep, start, replace(params, zeta=zeta_hat,
+                                                     max_iterations=0))
+    except errors.SolveError as exc:
+        exc.args = (f"loop 1: {exc}",)
+        raise
     gap = float(current.x @ current.s)
     states = [RefinementState(
         scale=1.0, loop_index=1, gap=gap,
@@ -363,13 +370,12 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
             raise errors.LeftNeighborhood(
                 f"loop {len(states) + 1}: rescaled warm start rejected: {exc}",
                 iterate=current, trace=trace) from exc
-        x_new = refined.x / scale
-        y_new = current.y + refined.y / scale
-        # the subproblem's own slack equals c - A^T y_new in exact
-        # arithmetic and is positive because ``refined`` passed the
-        # neighborhood check; c - A^T y_new itself can cancel to <= 0
-        s_new = refined.s / scale
-        current = Iterate(x_new, y_new, s_new)
+        except errors.SolveError as exc:
+            exc.args = (f"loop {len(states) + 1}: {exc}",)
+            if exc.iterate is not None:
+                exc.iterate = _unscaled(exc.iterate, current, scale)
+            raise
+        current = _unscaled(refined, current, scale)
         gap = float(current.x @ current.s)
         states.append(RefinementState(
             scale=scale, loop_index=len(states) + 1,

@@ -35,14 +35,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import errors
 from .problem import BasisFactors, Iterate, LinearProgram, PreprocessedProgram
+from .solvers import Operator
 
 __all__ = [
     "SystemKind",
@@ -107,33 +107,27 @@ class Formulation:
     recover: Callable
 
 
-@dataclass(frozen=True, eq=False)
-class AssembledSystem:
-    """One Newton-system formulation as an operator: ``matvec``, right-hand
-    side, metadata.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class AssembledSystem(Operator):
+    """One Newton-system formulation as an operator, with its right-hand
+    side and metadata.
 
-    This is what the loop hands its solver. ``matvec(z)`` applies the
-    system matrix and ``matrix`` is its dense form. FNS, AS, NES and OSS
-    are assembled dense, into ``dense``. For MNES/PNES ``dense`` is None,
-    ``matvec`` is ``z + E_N (E_N^T z)`` and ``matrix``,
-    ``I + E_N @ E_N.T``, is built on first use and kept, so a solver that
-    never asks for it never forms it. ``factorization``
-    is the exact solver's factorization, also built on first use and
-    kept: the matrix of a system never changes. The symmetry flags are
-    those of the kind's :class:`Formulation`.
+    This is what the loop hands its solver: an
+    :class:`~ifipm.solvers.Operator`, whose ``matvec``, ``matrix``,
+    ``diagonal`` and kept ``factorization`` it inherits. FNS, AS, NES and
+    OSS are assembled dense, into ``dense``; MNES/PNES as
+    ``I + E_N E_N^T``, from ``E_N``, the scaled nonbasic block. The
+    symmetry flags are those of the kind's :class:`Formulation`.
 
     The basis-scaled kinds also carry what their recovery consumes: the
     :class:`~ifipm.problem.BasisFactors` record of the basis behind them
     (``basis``), ``d_B``, the scaling ``sqrt(x/s)`` on the basis, and
-    ``E_N``, the scaled nonbasic block.
+    ``E_N``.
     """
 
     kind: SystemKind
     rhs: np.ndarray
-    mu: float
     beta: float
-    dense: Optional[np.ndarray] = field(default=None, repr=False)
-    E_N: Optional[np.ndarray] = None
     basis: Optional[BasisFactors] = None
     d_B: Optional[np.ndarray] = None
 
@@ -144,36 +138,6 @@ class AssembledSystem:
     @property
     def positive_definite(self) -> bool:
         return FORMULATIONS[self.kind].positive_definite
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense system matrix."""
-        if self.dense is not None:
-            return self.dense
-        # numpy evaluates E_N @ E_N.T as one symmetric rank-k update (syrk),
-        # so the matrix is exactly symmetric without a 0.5 * (M + M.T) pass
-        matrix = self.E_N @ self.E_N.T
-        matrix.flat[::matrix.shape[0] + 1] += 1.0
-        return matrix
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        """The system matrix applied to ``z``."""
-        if self.dense is not None:
-            return self.dense @ z
-        return z + self.E_N @ (self.E_N.T @ z)
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of the system matrix, a new array."""
-        if self.dense is not None:
-            return np.diag(self.dense).copy()
-        return 1.0 + np.einsum("ij,ij->i", self.E_N, self.E_N)
-
-    @cached_property
-    def factorization(self):
-        """:func:`~ifipm.solvers.factorize` of this system, kept."""
-        from .solvers import factorize
-
-        return factorize(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +270,6 @@ def _basis_products(kind: SystemKind, it: Iterate, beta: float,
     return AssembledSystem(
         kind=kind,
         rhs=sigma_hat,
-        mu=it.mu,
         beta=beta,
         E_N=E_N,
         basis=factors,
@@ -323,7 +286,7 @@ def _assemble_fns(kind, it, prep, beta) -> AssembledSystem:
         [np.zeros((n, m)), np.diag(s), np.diag(x)],
     ])
     rhs = np.concatenate([np.zeros(m + n), beta * it.mu - x * s])
-    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
+    return AssembledSystem(kind=kind, rhs=rhs, beta=beta, dense=matrix)
 
 
 def _assemble_as(kind, it, prep, beta) -> AssembledSystem:
@@ -336,7 +299,7 @@ def _assemble_as(kind, it, prep, beta) -> AssembledSystem:
     ])
     matrix = 0.5 * (matrix + matrix.T)
     rhs = np.concatenate([np.zeros(m), s - beta * it.mu / x])
-    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
+    return AssembledSystem(kind=kind, rhs=rhs, beta=beta, dense=matrix)
 
 
 def _assemble_nes(kind, it, prep, beta) -> AssembledSystem:
@@ -345,14 +308,14 @@ def _assemble_nes(kind, it, prep, beta) -> AssembledSystem:
     matrix = (A * d2[None, :]) @ A.T
     matrix = 0.5 * (matrix + matrix.T)
     rhs = A @ x - beta * it.mu * (A @ (1.0 / s))
-    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
+    return AssembledSystem(kind=kind, rhs=rhs, beta=beta, dense=matrix)
 
 
 def _assemble_oss(kind, it, prep, beta) -> AssembledSystem:
     A, x, s = prep.base.A, it.x, it.s
     matrix = np.hstack([-(x[:, None] * A.T), s[:, None] * prep.null_basis])
     rhs = beta * it.mu - x * s
-    return AssembledSystem(kind=kind, rhs=rhs, mu=it.mu, beta=beta, dense=matrix)
+    return AssembledSystem(kind=kind, rhs=rhs, beta=beta, dense=matrix)
 
 
 def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
@@ -427,7 +390,7 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     v = np.zeros(lp.n)
     v[B] = system.d_B * r_hat
     ds = -(lp.A.T @ dy)
-    dx = system.beta * system.mu / it.s - it.x - (it.x / it.s) * ds - v
+    dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
     dx[B] = -(factors.A_hat_N @ dx[N])
     dx[B] -= factors.inverse @ (lp.A @ dx)
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,

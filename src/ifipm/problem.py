@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
+from .solvers import Operator
 
 __all__ = [
     "LinearProgram",
@@ -206,9 +207,7 @@ class PreprocessedProgram:
     def gram(self):
         """``A @ A.T`` as a solver operator that keeps its factorization
         (NES pseudoinverse correction); its ``matrix`` is the product."""
-        from .solvers import _Matrix
-
-        return _Matrix(self.base.A @ self.base.A.T)
+        return Operator(dense=self.base.A @ self.base.A.T)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Linear-system solving layer with an explicit residual contract.
 
 The routines take ``(matrix, rhs, target_residual, ...)``, apart from
-:func:`solve_exact`, whose target is fixed. ``matrix`` is an operator,
-the :class:`~ifipm.newton.AssembledSystem` the loop passes: its
-``matvec``, its symmetry flags and, for the exact solver, its kept
-factorization are used, and CG never forms its dense matrix. A bare
-matrix is accepted too; its symmetry is then probed. Every one returns a
-:class:`SolveReport` whose ``achieved_residual``, a 2-norm, is
+:func:`solve_exact`, whose target is fixed. ``matrix`` is an
+:class:`Operator`, like the :class:`~ifipm.newton.AssembledSystem` the
+loop passes, whose ``matvec``, flags and kept factorization are used,
+or a bare matrix, which each routine wraps once and passes on. Every
+one returns a :class:`SolveReport` whose ``achieved_residual``, a 2-norm, is
 recomputed from the returned solution, never taken from the method's
 internal recurrence. The :func:`inexact_oracle` emulates a bounded-error
 solver: it never exceeds its residual target, which is the only property
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -28,6 +27,7 @@ from scipy.linalg import blas, lapack
 from . import errors
 
 __all__ = [
+    "Operator",
     "SolveReport",
     "Factorization",
     "factorize",
@@ -79,38 +79,63 @@ def _is_symmetric(M: np.ndarray) -> bool:
         np.array_equal(M, M.T) or np.allclose(M, M.T, rtol=1e-12, atol=1e-14))
 
 
-class _Matrix:
-    """A bare matrix as an operator, its flags from the symmetry probe.
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A system matrix as the solvers see it: ``dense``, or ``I + E_N E_N^T``.
 
-    A symmetric matrix is taken as possibly positive definite: the exact
-    solver tries Cholesky before LU, and CG stops on negative curvature.
+    ``matvec`` never forms ``I + E_N E_N^T``; ``matrix``, its dense form,
+    and ``factorization`` are built on first use and kept, since an
+    operator's matrix never changes. ``I + E_N E_N^T`` is symmetric
+    positive definite. A dense matrix is probed, and a symmetric one
+    taken as possibly positive definite: the exact solver tries Cholesky
+    before LU, and CG stops on negative curvature.
     """
 
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
+    dense: Optional[np.ndarray] = field(default=None, repr=False)
+    E_N: Optional[np.ndarray] = None
 
     @cached_property
     def symmetric(self) -> bool:
-        return _is_symmetric(self.matrix)
+        return self.dense is None or _is_symmetric(self.dense)
 
     @property
     def positive_definite(self) -> bool:
         return self.symmetric
 
-    def matvec(self, z):
-        return self.matrix @ z
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense system matrix."""
+        if self.dense is not None:
+            return self.dense
+        # numpy evaluates E_N @ E_N.T as one symmetric rank-k update (syrk),
+        # so the matrix is exactly symmetric without a 0.5 * (M + M.T) pass
+        matrix = self.E_N @ self.E_N.T
+        matrix.flat[::matrix.shape[0] + 1] += 1.0
+        return matrix
 
-    def diagonal(self):
-        return np.diag(self.matrix).copy()
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """The system matrix applied to ``z``."""
+        if self.dense is not None:
+            return self.dense @ z
+        return z + self.E_N @ (self.E_N.T @ z)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the system matrix, a new array."""
+        if self.dense is not None:
+            return np.diag(self.dense).copy()
+        return 1.0 + np.einsum("ij,ij->i", self.E_N, self.E_N)
 
     @cached_property
-    def factorization(self):
+    def factorization(self) -> "Factorization":
+        """:func:`factorize` of this operator, kept."""
         return factorize(self)
 
 
-def _operator(matrix):
-    """An assembled system as it is; a bare matrix wrapped as an operator."""
-    return matrix if hasattr(matrix, "matvec") else _Matrix(matrix)
+def _operator(matrix) -> Operator:
+    """An operator as it is; a bare matrix wrapped as a dense one."""
+    if isinstance(matrix, Operator):
+        return matrix
+    return Operator(dense=np.asarray(matrix, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +146,18 @@ class Factorization:
     solve: Callable
 
 
-def factorize(operator) -> Factorization:
+def factorize(operator: Operator) -> Factorization:
     """Cholesky or partial-pivoted LU factorization of an operator's matrix.
 
-    A basis-scaled system (one with ``E_N``) never forms its dense matrix
-    here: one ``syrk`` writes the lower triangle of ``E_N E_N^T`` in
-    Fortran order, 1 is added on its diagonal and ``potrf`` factors it in
-    place. Other symmetric positive definite operators take ``potrf`` on
-    the upper triangle of a copy of ``matrix``, as
-    ``scipy.linalg.cho_factor`` does; the rest, and a Cholesky that
-    fails, take ``getrf``. A singular LU factor is not an error here: its
-    solves come out non-finite.
+    ``I + E_N E_N^T`` never forms its dense matrix here: one ``syrk``
+    writes the lower triangle of ``E_N E_N^T`` in Fortran order, 1 is
+    added on its diagonal and ``potrf`` factors it in place. Other
+    symmetric positive definite operators take ``potrf`` on the upper
+    triangle of a copy of ``matrix``, as ``scipy.linalg.cho_factor``
+    does; the rest, and a Cholesky that fails, take ``getrf``. A singular
+    LU factor is not an error here: its solves come out non-finite.
     """
-    E_N = getattr(operator, "E_N", None)
+    E_N = operator.E_N
     if E_N is not None and E_N.size:  # syrk needs at least one column
         gram = blas.dsyrk(1.0, E_N.T, trans=1, lower=1)
         gram.flat[::gram.shape[0] + 1] += 1.0
@@ -155,9 +179,9 @@ def factorize(operator) -> Factorization:
 def solve_exact(matrix, rhs: np.ndarray) -> SolveReport:
     """Direct factorization solve, refined to near machine-level residual.
 
-    ``matrix`` is an :class:`~ifipm.newton.AssembledSystem` or a bare
-    matrix. The factorization is :func:`factorize`'s; a system keeps it,
-    so repeated solves of one system factor it once. A few
+    ``matrix`` is an :class:`Operator` or a bare matrix. The
+    factorization is :func:`factorize`'s; an operator keeps it, so
+    repeated solves of one operator factor it once. A few
     residual-correction passes with it push the residual to
     ``1e-12 * (1 + ||rhs||)`` even for ill-conditioned systems.
     """
@@ -191,8 +215,8 @@ def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
              precondition: Optional[Callable] = None) -> SolveReport:
     """Conjugate gradient for symmetric positive definite systems.
 
-    ``matrix`` is an :class:`~ifipm.newton.AssembledSystem`, applied
-    through its ``matvec`` and never formed, or a bare matrix. Stops at
+    ``matrix`` is an :class:`Operator`, applied through its ``matvec``
+    and never formed, or a bare matrix. Stops at
     ``||rhs - M z|| <= target_residual`` or after ``max_iterations``
     (``0``: ten times the dimension), returning the best iterate with
     ``converged=False``. ``precondition``, if given, applies the inverse
@@ -243,8 +267,8 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
     """Bounded-residual solver emulating an inexact linear-system oracle.
 
     Computes the exact solution with :func:`solve_exact` (an
-    :class:`~ifipm.newton.AssembledSystem` keeps its factorization across
-    calls), then injects a controlled perturbation, working on the dense
+    :class:`Operator` keeps its factorization across calls), then
+    injects a controlled perturbation, working on the dense
     ``matrix``:
 
     * ``random`` — a direction drawn from ``seed`` (``None``: 0), scaled
@@ -314,16 +338,15 @@ def refine_linear(
     absolute target ``eps_outer``. Each loop contracts the residual by at
     least ``eps_inner`` when the inner solver honors its contract, so the
     loop count is bounded by ``ceil(log(eps_outer/||rhs||)/log(eps_inner)) + 2``.
-    ``inner`` receives ``matrix`` as given: an assembled system, whose
-    factorization an exact inner solve keeps across loops, or the bare
-    matrix.
+    ``inner`` receives ``matrix`` as an :class:`Operator`, a bare matrix
+    wrapped once, so its symmetry probe and an exact inner solve's
+    factorization are kept across loops.
     """
     if not 0.0 < eps_inner < 1.0:
         raise errors.InvalidParameters("eps_inner must lie in (0, 1)")
     if eps_outer <= 0.0:
         raise errors.InvalidParameters("eps_outer must be positive")
-    M = matrix if hasattr(matrix, "matvec") else np.asarray(matrix, dtype=float)
-    op = _operator(M)
+    op = _operator(matrix)
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])
     r = b.copy()
@@ -337,7 +360,7 @@ def refine_linear(
     while rn > eps_outer:
         if loops >= cap:
             raise errors.Stalled(f"no convergence within {cap} refinement loops")
-        step = inner(M, r, eps_inner * rn)
+        step = inner(op, r, eps_inner * rn)
         z = z + step.solution
         r = b - op.matvec(z)
         new_rn = float(np.linalg.norm(r))
@@ -358,8 +381,8 @@ def refine_linear(
 #
 # A handle is a value with signature handle(matrix, rhs, target_residual)
 # -> SolveReport; the interior point loop is written against this shape
-# and passes an AssembledSystem as ``matrix``. Every handle also takes a
-# bare matrix.
+# and passes an AssembledSystem, an Operator, as ``matrix``. Every handle
+# also takes a bare matrix.
 
 def _derived_seed(seed: int, rhs: np.ndarray) -> int:
     # per-call seed: reproducible, but distinct across iterations

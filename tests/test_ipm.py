@@ -346,10 +346,11 @@ def test_rejected_warm_start_names_the_loop(monkeypatch):
         ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
 
 
-@pytest.mark.parametrize("failure", ["no-progress", "loop-budget", "warm-start"])
+@pytest.mark.parametrize("failure", ["no-progress", "loop-budget", "warm-start", "inner"])
 def test_refinement_raises_carry_partial_state(failure, monkeypatch):
     # the driver's own raises carry the accumulated iterate and the last
-    # inner loop's trace, as the inner loop's raises carry theirs
+    # inner loop's trace; an inner loop's raise carries its own trace and
+    # its iterate mapped back to the caller's program, and names the loop
     from ifipm import ipm
 
     inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
@@ -362,11 +363,13 @@ def test_refinement_raises_carry_partial_state(failure, monkeypatch):
         runs.append((final, trace))
         if failure == "no-progress" and len(runs) == 2:
             return start, trace  # back at its warm start: the gap does not contract
+        if failure == "inner" and len(runs) == 2:
+            raise errors.LeftNeighborhood("injected", iterate=final, trace=trace)
         return final, trace
 
     monkeypatch.setattr(ipm, "if_ipm", second_loop_fails)
     raised = {"no-progress": errors.NoProgress, "loop-budget": errors.SolverFailure,
-              "warm-start": errors.LeftNeighborhood}[failure]
+              "warm-start": errors.LeftNeighborhood, "inner": errors.LeftNeighborhood}[failure]
     with pytest.raises(raised) as info:
         ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams(),
                   max_loops=1 if failure == "loop-budget" else 64)
@@ -374,6 +377,14 @@ def test_refinement_raises_carry_partial_state(failure, monkeypatch):
     if failure == "no-progress":  # loop 1's iterate, rescaled there and back
         np.testing.assert_allclose(info.value.iterate.x, runs[0][0].x, rtol=1e-12)
         np.testing.assert_allclose(info.value.iterate.s, runs[0][0].s, rtol=1e-12)
+    elif failure == "inner":  # loop 2's subproblem iterate, scaled back
+        current, sub = runs[0][0], runs[1][0]
+        scale = 1.0 / float(current.x @ current.s)
+        assert str(info.value) == "loop 2: injected"
+        np.testing.assert_allclose(info.value.iterate.x, sub.x / scale, rtol=1e-12)
+        np.testing.assert_allclose(info.value.iterate.y, current.y + sub.y / scale,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(info.value.iterate.s, sub.s / scale, rtol=1e-12)
     else:
         assert info.value.iterate is runs[0][0]
 

@@ -265,6 +265,15 @@ def _systems(m=6, n=14, seed=3):
     return {kind: assemble(kind, inst.start, prep, 0.9) for kind in SystemKind}
 
 
+def _refine_bare_spd():
+    """A bare 50 x 50 SPD matrix through refinement around the oracle."""
+    rng = np.random.default_rng(0)
+    M = random_spd(rng, 50)
+    b = rng.standard_normal(50)
+    refining = RefiningSolver(inner=OracleSolver(seed=1), eps_inner=1e-1)
+    return refining(M, b, 1e-12 * np.linalg.norm(b))
+
+
 def _count_factor_calls(monkeypatch):
     """Patch the BLAS/LAPACK entry points the exact path uses; count calls."""
     from scipy.linalg import blas, lapack
@@ -306,6 +315,10 @@ def test_basis_scaled_factorization_kept_per_system(monkeypatch):
         rep = refining(sys, sys.rhs, 1e-10 * np.linalg.norm(sys.rhs))
         assert rep.iterations >= 2
     assert counts == {"dsyrk": 2, "dpotrf": 2, "dgetrf": 0}
+    # a bare matrix is wrapped once per refinement and factored once
+    rep = _refine_bare_spd()
+    assert rep.iterations >= 2
+    assert counts == {"dsyrk": 2, "dpotrf": 3, "dgetrf": 0}
 
 
 @pytest.mark.parametrize("handle", [CgSolver(), PcgSolver()], ids=["cg", "pcg"])
@@ -353,3 +366,6 @@ def test_no_system_reaches_the_symmetry_probe(monkeypatch):
     assert probed == []
     solve_exact(np.eye(3), np.ones(3))
     assert len(probed) == 1
+    # a bare matrix is probed once per refinement, not once per loop
+    assert _refine_bare_spd().iterations >= 2
+    assert len(probed) == 2
