@@ -116,7 +116,9 @@ class IpmParams:
     override flag since it fails the second condition.
     ``condition_numbers=True`` records the spectral condition number of
     every assembled system (one SVD per iteration); off, the records
-    carry ``None``.
+    carry ``None``. ``max_iterations=0`` derives the budget from the
+    start's measure and ``zeta``; :func:`ir_if_ipm` ignores this field
+    and ``zeta`` and sets both per inner loop.
     """
 
     theta: float = 0.4
@@ -317,12 +319,26 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     carries that loop's own, its message prefixed with ``loop k: `` and
     its iterate mapped back to the caller's program.
 
-    The subproblem stop threshold is adapted per loop: a loop never runs
-    deeper than needed to land the outer gap below ``n * zeta`` (running
-    a heavily rescaled subproblem further than that pushes its absolute
-    residual targets below what double precision can certify), and never
-    shallower than a ``1.8 * zeta_hat`` contraction of its warm-start
-    measure. Each refinement subproblem is re-preprocessed with the
+    Stop levels: the first loop stops at ``zeta_hat``; each later loop
+    at whichever of ``zeta_hat`` and ``1.8 * zeta_hat`` times its warm
+    start's measure its subproblem reaches first, so every loop after the
+    first contracts the gap to at most ``1.8 * zeta_hat`` times its
+    previous value. No stop level lies below ``0.9 * zeta`` in the
+    caller's coordinates unless that contraction demands it (running a
+    heavily rescaled subproblem further pushes its absolute residual
+    targets below what double precision can certify).
+    A loop that would stop less than one such contraction above ``0.9 *
+    zeta`` stops at ``0.9 * zeta / (1.8 * zeta_hat)`` instead, from where
+    the next loop lands on ``0.9 * zeta`` rather than overshooting it;
+    when its own least contraction already passes that level, it runs on
+    to ``0.9 * zeta`` (the first loop: to ``zeta``) and finishes. Unless
+    ``zeta >= zeta_hat``, which takes one loop, the final measure lies at
+    most two inner steps' contraction below ``0.9 * zeta`` (``zeta`` for
+    a single loop).
+
+    Every inner loop runs with ``max_iterations=0``, the budget derived
+    from its own stop level; ``params.max_iterations`` is not used.
+    Each refinement subproblem is re-preprocessed with the
     maximum-weight basis of its warm start, which keeps the basis-scaled
     system bounded even when the warm start sits close to an optimal
     face (any basis is admissible for the preprocessing, and this choice
@@ -336,9 +352,13 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     if not 0.0 < zeta_hat < 1.0:
         raise errors.InvalidParameters("zeta_hat must lie in (0, 1)")
     prep = preprocess(lp, basis)
+    least = 1.8 * zeta_hat  # the least contraction of every loop after the first
 
+    first_zeta = zeta_hat
+    if zeta < zeta_hat < 0.9 * zeta / least:
+        first_zeta = 0.9 * zeta / least if start.mu > 0.9 * zeta / least else zeta
     try:
-        current, trace = if_ipm(prep, start, replace(params, zeta=zeta_hat,
+        current, trace = if_ipm(prep, start, replace(params, zeta=first_zeta,
                                                      max_iterations=0))
     except errors.SolveError as exc:
         exc.args = (f"loop 1: {exc}",)
@@ -356,8 +376,13 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         prev_gap = gap
         scale = 1.0 / gap
         mu_warm = scale / lp.n  # warm-start measure of the scaled subproblem
-        sub_zeta = min(max(zeta_hat, 0.9 * zeta * scale * scale),
-                       1.8 * zeta_hat * mu_warm)
+        deep = 0.9 * zeta * scale * scale  # the subproblem level that lands on zeta
+        sub_zeta = min(max(zeta_hat, deep), least * mu_warm)
+        if deep < sub_zeta < deep / least:
+            # stopping here leaves the next loop less than its least
+            # contraction, so it would overshoot: leave it exactly one,
+            # or finish now if this loop's least contraction passes that
+            sub_zeta = deep / least if mu_warm >= deep / least**2 else deep
         sub_lp = LinearProgram(lp.A, scale * lp.b, scale * current.s)
         warm = Iterate(scale * current.x, np.zeros(lp.m), scale * current.s)
         sub_prep = preprocess(sub_lp, basis=select_basis_mwb(warm, lp.A))

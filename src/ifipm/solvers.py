@@ -272,7 +272,8 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
     ``matrix``:
 
     * ``random`` — a direction drawn from ``seed`` (``None``: 0), scaled
-      so the achieved residual lands in ``[0.5, 1.0] * target_residual``;
+      so that the perturbation's own residual is ``uniform(0.5, 0.98) *
+      target_residual``;
     * ``adversarial`` — the error aligned with the smallest singular
       direction of the matrix, scaled so the residual equals the target
       (shaved by 1e-9 relative so the hard bound is never crossed).

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ifipm import GeneratorSpec, Iterate, generate, null_space_basis
+
+# HYPOTHESIS_PROFILE=ci checks the same examples on every run; the default
+# profile explores new ones
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def interior_iterate(rng, lp):

@@ -280,6 +280,40 @@ def test_ir_single_loop_when_hat_below_target():
     assert final.mu <= 1e-3
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ir_lands_on_zeta_with_least_contraction_per_loop(seed):
+    # a loop stopping less than one 1.8 * zeta_hat contraction above zeta
+    # used to leave the next loop to overshoot it, down to 0.03 zeta
+    inst = generate(GeneratorSpec(m=10, n=20, kappa_target=100.0, seed=seed))
+    for zeta, zeta_hat in [(1e-8, 1e-2), (1e-4, 1e-2), (1e-3, 1e-2), (5e-3, 1e-2),
+                           (1e-6, 1e-1)]:
+        final, states = ir_if_ipm(inst.lp, inst.start, zeta=zeta, zeta_hat=zeta_hat,
+                                  params=IpmParams())
+        assert 0.5 * zeta <= final.mu <= zeta, (zeta, zeta_hat)
+        for before, after in zip(states, states[1:]):
+            assert after.gap <= 1.8 * zeta_hat * before.gap * (1 + 1e-9), (zeta, zeta_hat)
+
+
+def test_ir_single_loop_from_a_start_within_one_contraction():
+    # from mu = 0.05, a loop stopping at zeta_hat would leave the next one
+    # to contract 1e-2 -> 1.8e-4; one loop runs to zeta instead
+    inst = generate(GeneratorSpec(m=10, n=20, kappa_target=100.0, seed=0))
+    start, _ = if_ipm(preprocess(inst.lp), inst.start, IpmParams(zeta=0.05))
+    final, states = ir_if_ipm(inst.lp, start, zeta=5e-3, zeta_hat=1e-2,
+                              params=IpmParams())
+    assert len(states) == 1
+    assert 0.5 * 5e-3 <= final.mu <= 5e-3
+
+
+def test_ir_inner_loops_ignore_max_iterations():
+    # every inner loop derives its own budget from its stop level
+    inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
+    final, states = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
+                              params=IpmParams(max_iterations=1))
+    assert final.mu <= 1e-8
+    assert all(st.inner_iterations > 1 for st in states)
+
+
 def test_ir_final_point_is_feasible():
     inst = generate(GeneratorSpec(m=5, n=12, kappa_target=100.0, seed=11))
     final, _ = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifipm import GeneratorSpec, errors
 from ifipm.solvers import (
     EXACT_RTOL,
     CgSolver,
     ExactSolver,
+    Operator,
     OracleSolver,
     PcgSolver,
     RefiningSolver,
@@ -142,16 +144,27 @@ def test_oracle_determinism():
         np.testing.assert_array_equal(a.solution, b2.solution)
 
 
-def test_oracle_never_exceeds_target():
-    rng = np.random.default_rng(8)
-    for trial in range(50):
-        n = int(rng.integers(2, 15))
-        M = random_spd(rng, n, spread=10 ** rng.uniform(0, 8))
-        b = rng.standard_normal(n)
-        target = 10.0 ** rng.uniform(-10, -1)
-        mode = "adversarial" if trial % 2 else "random"
-        rep = inexact_oracle(M, b, target, seed=trial, mode=mode)
-        assert np.linalg.norm(b - M @ rep.solution) <= target
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 14), log_spread=st.floats(0, 8), log_target=st.floats(-10, -1),
+       seed=st.integers(0, 2**32 - 1), operator=st.booleans(),
+       mode=st.sampled_from(["random", "adversarial"]))
+def test_oracle_never_exceeds_target(n, log_spread, log_target, seed, operator, mode):
+    rng = np.random.default_rng(seed)
+    if operator:  # I + E_N E_N^T, as MNES/PNES assemble it, E_N of any width
+        E_N = rng.standard_normal((n, int(rng.integers(1, 2 * n))))
+        M = Operator(E_N=10 ** (0.5 * log_spread) * E_N)
+    else:
+        M = random_spd(rng, n, spread=10**log_spread)
+    b = rng.standard_normal(n)
+    target = 10.0**log_target
+    dense = M.matrix if operator else M
+    try:
+        rep = inexact_oracle(M, b, target, seed=seed, mode=mode)
+    except errors.SolverFailure:  # its one refusal: the exact solve misses the target
+        assert np.linalg.norm(b - dense @ solve_exact(M, b).solution) > target
+        return
+    assert np.linalg.norm(b - dense @ rep.solution) <= target
+    assert rep.achieved_residual <= target
 
 
 def test_refine_identity_single_loop():
