@@ -21,7 +21,7 @@ from . import errors
 from .generator import GeneratedInstance
 from .problem import Iterate, LinearProgram
 
-__all__ = ["LoadedInstance", "load_instance", "save_instance", "instance_payload"]
+__all__ = ["LoadedInstance", "load_instance", "save_instance"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,41 +46,20 @@ def _point_from(payload, name: str) -> Iterate:
         raise errors.InputError(f"malformed {name!r} block: {exc}") from exc
 
 
-def instance_payload(lp: LinearProgram, interior: Optional[Iterate] = None,
-                     optimal: Optional[Iterate] = None, partition=None,
-                     basis=None) -> dict:
+def save_instance(path, inst: GeneratedInstance) -> None:
+    """Write a generated instance, its start and certificate fields included."""
     payload = {
-        "m": lp.m,
-        "n": lp.n,
-        "A": lp.A.tolist(),
-        "b": lp.b.tolist(),
-        "c": lp.c.tolist(),
+        "m": inst.lp.m,
+        "n": inst.lp.n,
+        "A": inst.lp.A.tolist(),
+        "b": inst.lp.b.tolist(),
+        "c": inst.lp.c.tolist(),
+        "interior": _point_payload(inst.start),
     }
-    if interior is not None:
-        payload["interior"] = _point_payload(interior)
-    if optimal is not None:
-        payload["optimal"] = _point_payload(optimal)
-    if partition is not None:
-        payload["partition"] = {"B": list(partition[0]), "N": list(partition[1])}
-    if basis is not None:
-        payload["basis"] = list(basis)
-    return payload
-
-
-def save_instance(path, source, **extras) -> None:
-    """Write an instance file.
-
-    ``source`` may be a :class:`LinearProgram` (with optional
-    ``interior=/optimal=/partition=/basis=`` keyword extras) or a
-    :class:`~ifipm.generator.GeneratedInstance`, whose certificate fields
-    are stored automatically.
-    """
-    if isinstance(source, GeneratedInstance):
-        payload = instance_payload(source.lp, interior=source.start,
-                                   optimal=source.optimal,
-                                   partition=source.partition, **extras)
-    else:
-        payload = instance_payload(source, **extras)
+    if inst.optimal is not None:
+        payload["optimal"] = _point_payload(inst.optimal)
+    if inst.partition is not None:
+        payload["partition"] = {"B": list(inst.partition[0]), "N": list(inst.partition[1])}
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 

@@ -107,8 +107,11 @@ def check_parameters(n: int, theta: float, eta: float, beta: float) -> Parameter
 
 @dataclass(frozen=True, eq=False)
 class IpmParams:
-    """Run parameters; ``beta=None`` resolves to ``1 - 0.2/sqrt(n)``.
+    """Run parameters of the short-step loop.
 
+    The step is the short step ``beta = 1 - 0.2/sqrt(n)``
+    (:meth:`resolve_beta`), and the iteration budget is derived from the
+    start's measure and ``zeta``; neither is settable.
     ``override_parameter_check=True`` lets a run proceed with parameters
     that fail :func:`check_parameters` (the verdict is still evaluated
     and attached to the trace). The default ``theta=0.4, eta=0.1``
@@ -116,18 +119,15 @@ class IpmParams:
     override flag since it fails the second condition.
     ``condition_numbers=True`` records the spectral condition number of
     every assembled system (one SVD per iteration); off, the records
-    carry ``None``. ``max_iterations=0`` derives the budget from the
-    start's measure and ``zeta``; :func:`ir_if_ipm` ignores this field
-    and ``zeta`` and sets both per inner loop.
+    carry ``None``. :func:`ir_if_ipm` ignores ``zeta`` and sets it per
+    inner loop.
     """
 
     theta: float = 0.4
     eta: float = 0.1
-    beta: Optional[float] = None
     zeta: float = 1e-6
     system: SystemKind = SystemKind.MNES
     solver: Callable = field(default_factory=ExactSolver)
-    max_iterations: int = 0
     override_parameter_check: bool = False
     condition_numbers: bool = False
 
@@ -136,13 +136,19 @@ class IpmParams:
             raise errors.InvalidParameters("theta must lie in [0, 1)")
         if not 0.0 <= self.eta < 1.0:
             raise errors.InvalidParameters("eta must lie in [0, 1)")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise errors.InvalidParameters("beta must lie in (0, 1)")
-        if self.zeta <= 0.0:
-            raise errors.InvalidParameters("zeta must be positive")
+        if not 0.0 < self.zeta < math.inf:
+            raise errors.InvalidParameters("zeta must be positive and finite")
+        if not isinstance(self.system, SystemKind):
+            raise errors.InvalidParameters(
+                f"system must be a SystemKind, got {self.system!r}")
 
     def resolve_beta(self, n: int) -> float:
-        return self.beta if self.beta is not None else 1.0 - 0.2 / math.sqrt(n)
+        return 1.0 - 0.2 / math.sqrt(n)
+
+
+def _iteration_budget(n: int, mu0: float, zeta: float) -> int:
+    """Steps allowed from ``mu0`` to ``zeta``: twice the short step's need, plus 64."""
+    return math.ceil(10.0 * math.sqrt(n) * math.log(max(mu0 / zeta, math.e))) + 64
 
 
 @dataclass(frozen=True)
@@ -238,11 +244,7 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
         raise errors.NotInNeighborhood(
             f"start infeasible: primal {r0.primal_inf:.2e}, dual {r0.dual_inf:.2e}")
 
-    max_it = params.max_iterations
-    if max_it <= 0:
-        ratio = max(start.mu / params.zeta, math.e)
-        max_it = math.ceil(10.0 * math.sqrt(n) * math.log(ratio)) + 64
-
+    max_it = _iteration_budget(n, start.mu, params.zeta)
     it = start
     records = []
     try:
@@ -303,19 +305,19 @@ def _unscaled(sub: Iterate, current: Iterate, scale: float) -> Iterate:
 
 
 def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
-              params: IpmParams, basis=None, max_loops: int = 64):
+              params: IpmParams, basis=None):
     """Outer iterative refinement: repeat limited-precision solves.
 
     Each loop solves the current instance to roughly ``zeta_hat``
     precision, then rescales the residual problem by ``scale = 1/(x.s)``
     and warm-starts the next loop from ``(scale*x, 0, scale*s)``, until
-    ``x.s / n <= zeta``. A loop that neither finishes nor contracts the
-    gap by ``2 * zeta_hat`` raises :class:`~ifipm.errors.NoProgress`; a
-    rescaled warm start that the inner loop rejects raises
-    :class:`~ifipm.errors.LeftNeighborhood`, and ``max_loops`` loops
-    that do not reach ``zeta`` raise :class:`~ifipm.errors.SolverFailure`.
-    These three carry the accumulated iterate as ``iterate`` and the
-    last inner loop's ``trace``. An error raised inside an inner loop
+    ``x.s / n <= zeta``. ``zeta_hat`` lies in ``(0, 1/2)``, so a loop that
+    does not finish must contract the gap to at most ``2 * zeta_hat < 1``
+    times its previous value, or :class:`~ifipm.errors.NoProgress` is
+    raised; every run therefore ends. A rescaled warm start that the
+    inner loop rejects raises :class:`~ifipm.errors.LeftNeighborhood`.
+    Both carry the accumulated iterate as ``iterate`` and the last inner
+    loop's ``trace``. An error raised inside an inner loop
     carries that loop's own, its message prefixed with ``loop k: `` and
     its iterate mapped back to the caller's program.
 
@@ -336,9 +338,8 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     most two inner steps' contraction below ``0.9 * zeta`` (``zeta`` for
     a single loop).
 
-    Every inner loop runs with ``max_iterations=0``, the budget derived
-    from its own stop level; ``params.max_iterations`` is not used.
-    Each refinement subproblem is re-preprocessed with the
+    Every inner loop derives its iteration budget from its own stop
+    level. Each refinement subproblem is re-preprocessed with the
     maximum-weight basis of its warm start, which keeps the basis-scaled
     system bounded even when the warm start sits close to an optimal
     face (any basis is admissible for the preprocessing, and this choice
@@ -347,10 +348,10 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     Returns ``(final_iterate, states)`` with one
     :class:`RefinementState` per loop.
     """
-    if zeta <= 0.0:
-        raise errors.InvalidParameters("zeta must be positive")
-    if not 0.0 < zeta_hat < 1.0:
-        raise errors.InvalidParameters("zeta_hat must lie in (0, 1)")
+    if not 0.0 < zeta < math.inf:
+        raise errors.InvalidParameters("zeta must be positive and finite")
+    if not 0.0 < zeta_hat < 0.5:
+        raise errors.InvalidParameters("zeta_hat must lie in (0, 1/2)")
     prep = preprocess(lp, basis)
     least = 1.8 * zeta_hat  # the least contraction of every loop after the first
 
@@ -358,8 +359,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     if zeta < zeta_hat < 0.9 * zeta / least:
         first_zeta = 0.9 * zeta / least if start.mu > 0.9 * zeta / least else zeta
     try:
-        current, trace = if_ipm(prep, start, replace(params, zeta=first_zeta,
-                                                     max_iterations=0))
+        current, trace = if_ipm(prep, start, replace(params, zeta=first_zeta))
     except errors.SolveError as exc:
         exc.args = (f"loop 1: {exc}",)
         raise
@@ -370,9 +370,6 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         max_kappa=trace.max_kappa)]
 
     while gap / lp.n > zeta:
-        if len(states) >= max_loops:
-            raise errors.SolverFailure(f"refinement budget of {max_loops} loops exhausted",
-                                       iterate=current, trace=trace)
         prev_gap = gap
         scale = 1.0 / gap
         mu_warm = scale / lp.n  # warm-start measure of the scaled subproblem
@@ -387,8 +384,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
         warm = Iterate(scale * current.x, np.zeros(lp.m), scale * current.s)
         sub_prep = preprocess(sub_lp, basis=select_basis_mwb(warm, lp.A))
         try:
-            refined, trace = if_ipm(sub_prep, warm,
-                                    replace(params, zeta=sub_zeta, max_iterations=0))
+            refined, trace = if_ipm(sub_prep, warm, replace(params, zeta=sub_zeta))
         except errors.NotInNeighborhood as exc:
             # the warm start is derived from a valid run, so this is a
             # numerical failure of the refinement, not an input error

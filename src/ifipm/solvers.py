@@ -341,7 +341,8 @@ def refine_linear(
     loop count is bounded by ``ceil(log(eps_outer/||rhs||)/log(eps_inner)) + 2``.
     ``inner`` receives ``matrix`` as an :class:`Operator`, a bare matrix
     wrapped once, so its symmetry probe and an exact inner solve's
-    factorization are kept across loops.
+    factorization are kept across loops. The reported residual is the
+    loop's own ``||rhs - M z||`` of the returned ``z``, not recomputed.
     """
     if not 0.0 < eps_inner < 1.0:
         raise errors.InvalidParameters("eps_inner must lie in (0, 1)")
@@ -353,7 +354,7 @@ def refine_linear(
     r = b.copy()
     rn = float(np.linalg.norm(r))
     if rn <= eps_outer:
-        return _report(op, b, z, 0, "refine")
+        return SolveReport(solution=z, achieved_residual=rn, iterations=0, method="refine")
     cap = math.ceil(math.log(eps_outer / rn) / math.log(eps_inner)) + 2
     stall_factor = (eps_inner + 0.5) / 1.5
     consecutive_slow = 0
@@ -375,7 +376,7 @@ def refine_linear(
         else:
             consecutive_slow = 0
         rn = new_rn
-    return _report(op, b, z, loops, "refine")
+    return SolveReport(solution=z, achieved_residual=rn, iterations=loops, method="refine")
 
 
 # --- stateless solver handles -------------------------------------------

@@ -109,6 +109,24 @@ def test_malformed_basis_is_input_error(tmp_path, basis):
     assert out.read_text().splitlines()[1].split(",")[2] == "0"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--zeta", "nan"],
+    ["--zeta", "inf"],
+    ["--zeta", "nan", "--zeta-hat", 1e-2],
+    ["--zeta", "inf", "--zeta-hat", 1e-2],
+    ["--zeta", 1e-8, "--zeta-hat", 0.5],
+    ["--zeta", 1e-8, "--zeta-hat", 0.7],
+], ids=["nan", "inf", "nan-refined", "inf-refined", "zeta-hat-half", "zeta-hat-0.7"])
+def test_run_parameters_out_of_domain_are_input_errors(tmp_path, flags):
+    # a nan or inf zeta once exited 0 as "solved" (or died in a traceback),
+    # and zeta_hat 0.7 exhausted a 64-loop budget with exit 1
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 3, "--n", 8, "--seed", 3, "--out", inst)
+    out = tmp_path / "s.json"
+    assert run("solve", "--instance", inst, *flags, "--out", out) == 2
+    assert not out.exists()
+
+
 def test_solve_rejects_two_instances(tmp_path):
     inst = tmp_path / "inst.json"
     run("generate", "--m", 2, "--n", 4, "--seed", 30, "--out", inst)
@@ -210,17 +228,6 @@ def test_trace_read_back_validates(tmp_path):
     write_condition_trace(out, ConditionTrace(rows))
     with pytest.raises(errors.InputError):
         read_condition_trace(out)
-
-
-def test_trace_read_back_checks_contraction_window(tmp_path):
-    out = tmp_path / "trace.csv"
-    rows = ({"k": 0, "mu": 1.0, "kappa_NES": 5.0},
-            {"k": 1, "mu": 0.1, "kappa_NES": 5.0})  # far below any beta step
-    write_condition_trace(out, ConditionTrace(rows))
-    read_condition_trace(out)  # fine without declared parameters
-    params = IpmParams(beta=0.95)
-    with pytest.raises(errors.InputError):
-        read_condition_trace(out, params)
 
 
 def test_batch_deterministic_and_isolated(tmp_path):

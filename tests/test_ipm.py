@@ -107,13 +107,42 @@ def test_if_ipm_unvalidated_parameters_need_override():
     assert not trace.parameter_check.ok
 
 
-def test_if_ipm_max_iterations_carries_state():
+def test_if_ipm_max_iterations_carries_state(monkeypatch):
+    from ifipm import ipm
+
+    monkeypatch.setattr(ipm, "_iteration_budget", lambda n, mu0, zeta: 3)
     inst = generate(GeneratorSpec(m=3, n=6, seed=5))
     prep = preprocess(inst.lp)
     with pytest.raises(errors.MaxIterations) as info:
-        if_ipm(prep, inst.start, IpmParams(zeta=1e-12, max_iterations=3))
+        if_ipm(prep, inst.start, IpmParams(zeta=1e-12))
     assert info.value.iterate is not None
     assert len(info.value.trace.records) == 3
+
+
+@pytest.mark.parametrize("zeta", [0.0, -1.0, math.nan, math.inf])
+def test_zeta_must_be_positive_and_finite(zeta):
+    # a nan zeta once ran refinement to "solved" after one loop, and an
+    # unrefined run died in math.ceil with a ValueError
+    with pytest.raises(errors.InvalidParameters):
+        IpmParams(zeta=zeta)
+    inst = generate(GeneratorSpec(m=3, n=8, seed=3))
+    with pytest.raises(errors.InvalidParameters):
+        ir_if_ipm(inst.lp, inst.start, zeta=zeta, zeta_hat=1e-2, params=IpmParams())
+
+
+def test_system_must_be_a_system_kind():
+    # a string once constructed and then failed in the loop with a KeyError
+    with pytest.raises(errors.InvalidParameters):
+        IpmParams(system="mnes")
+
+
+@pytest.mark.parametrize("zeta_hat", [0.0, 0.5, 0.55, 0.7, 1.0, math.nan])
+def test_ir_zeta_hat_must_lie_below_one_half(zeta_hat):
+    # from 1/2 up the no-progress check allows a loop that does not
+    # contract the gap; from 0.56 up runs used up a 64-loop budget
+    inst = generate(GeneratorSpec(m=3, n=7, seed=0))
+    with pytest.raises(errors.InvalidParameters):
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=zeta_hat, params=IpmParams())
 
 
 @pytest.mark.parametrize("failure, records, message", [
@@ -305,15 +334,6 @@ def test_ir_single_loop_from_a_start_within_one_contraction():
     assert 0.5 * 5e-3 <= final.mu <= 5e-3
 
 
-def test_ir_inner_loops_ignore_max_iterations():
-    # every inner loop derives its own budget from its stop level
-    inst = generate(GeneratorSpec(m=4, n=10, kappa_target=10.0, seed=9))
-    final, states = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
-                              params=IpmParams(max_iterations=1))
-    assert final.mu <= 1e-8
-    assert all(st.inner_iterations > 1 for st in states)
-
-
 def test_ir_final_point_is_feasible():
     inst = generate(GeneratorSpec(m=5, n=12, kappa_target=100.0, seed=11))
     final, _ = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
@@ -380,7 +400,7 @@ def test_rejected_warm_start_names_the_loop(monkeypatch):
         ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
 
 
-@pytest.mark.parametrize("failure", ["no-progress", "loop-budget", "warm-start", "inner"])
+@pytest.mark.parametrize("failure", ["no-progress", "warm-start", "inner"])
 def test_refinement_raises_carry_partial_state(failure, monkeypatch):
     # the driver's own raises carry the accumulated iterate and the last
     # inner loop's trace; an inner loop's raise carries its own trace and
@@ -402,11 +422,10 @@ def test_refinement_raises_carry_partial_state(failure, monkeypatch):
         return final, trace
 
     monkeypatch.setattr(ipm, "if_ipm", second_loop_fails)
-    raised = {"no-progress": errors.NoProgress, "loop-budget": errors.SolverFailure,
-              "warm-start": errors.LeftNeighborhood, "inner": errors.LeftNeighborhood}[failure]
+    raised = {"no-progress": errors.NoProgress, "warm-start": errors.LeftNeighborhood,
+              "inner": errors.LeftNeighborhood}[failure]
     with pytest.raises(raised) as info:
-        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams(),
-                  max_loops=1 if failure == "loop-budget" else 64)
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
     assert info.value.trace is runs[-1][1]
     if failure == "no-progress":  # loop 1's iterate, rescaled there and back
         np.testing.assert_allclose(info.value.iterate.x, runs[0][0].x, rtol=1e-12)
@@ -431,14 +450,20 @@ def test_refinement_scale_equivalence():
     x, y, s = inst.start.x, inst.start.y, inst.start.s
     scale = 1.0 / float(x @ s)
 
+    class Stop(Exception):
+        pass
+
     def run(program, start, steps):
         prep = preprocess(program, basis=preprocess(lp).basis)
         captured = []
-        try:
-            if_ipm(prep, start, IpmParams(zeta=1e-300, max_iterations=steps),
-                   observer=lambda k, it, sy, d, new: captured.append(new))
-        except errors.MaxIterations:
-            pass
+
+        def observer(k, it, sy, d, new):
+            captured.append(new)
+            if len(captured) == steps:
+                raise Stop
+
+        with pytest.raises(Stop):
+            if_ipm(prep, start, IpmParams(zeta=1e-300), observer=observer)
         return captured
 
     shifted = LinearProgram(lp.A, lp.b, s)

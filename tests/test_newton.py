@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ifipm import (
     BasisFactors,
     GeneratorSpec,
+    IpmParams,
     Iterate,
     LinearProgram,
     SystemKind,
@@ -23,10 +24,15 @@ from ifipm import (
     select_basis_mwb,
     verify_direction,
 )
-from ifipm.newton import proc_a_residual_bound
+from ifipm.newton import proc_a_residual_bound, solve_target
 from ifipm.solvers import solve_exact
 
-from conftest import dense_newton_direction, feasible_iterate, interior_iterate
+from conftest import (
+    dense_newton_direction,
+    feasible_iterate,
+    interior_iterate,
+    neighborhood_iterate,
+)
 
 ALL_KINDS = list(SystemKind)
 
@@ -630,6 +636,30 @@ def test_verify_direction_flags_missing_correction(central_instance):
     broken = replace(d, dx=d.dx + d.correction_v, correction_v=np.zeros(lp.n))
     report = verify_direction(broken, it, lp, beta, eta=0.1, theta=0.4)
     assert report.primal_residual > 1e-6  # drift is visible without v
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 7), extra=st.integers(1, 9), log_kappa=st.floats(0, 6),
+       kind=st.sampled_from([SystemKind.MNES, SystemKind.PNES]),
+       log_mu=st.floats(-8, 0), u=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_correction_lemma_on_injected_residuals(m, extra, log_kappa, kind, log_mu, u,
+                                                seed):
+    # a solve residual within the basis-scaled target keeps ||S v||_inf <=
+    # eta mu in the theta neighborhood, whichever basis the system holds
+    theta, eta = 0.4, 0.1
+    inst = generate(GeneratorSpec(m=m, n=m + extra, kappa_target=10.0 ** log_kappa,
+                                  seed=seed))
+    lp, prep = inst.lp, preprocess(inst.lp)
+    rng = np.random.default_rng(seed)
+    it = neighborhood_iterate(rng, lp.n, lp.m, theta, 10.0 ** log_mu)
+    beta = IpmParams().resolve_beta(lp.n)
+    sys = assemble(kind, it, prep, beta)
+    target = solve_target(kind, it, prep, eta, theta)
+    r = rng.standard_normal(lp.m)
+    r *= u * target / np.linalg.norm(r)
+    d = recover_direction(sys, solve_exact(sys, sys.rhs + r).solution, it, prep)
+    if np.linalg.norm(d.residual_hat) <= target:
+        assert verify_direction(d, it, lp, beta, eta=eta, theta=theta).sv_ok
 
 
 def test_condition_number_basics():
