@@ -5,8 +5,6 @@ size / symmetry / definiteness / condition-number table, and checks the
 basis-scaled route against a dense solve of the full primal-dual system.
 """
 
-import numpy as np
-
 from ifipm import (
     GeneratorSpec,
     SystemKind,
@@ -15,6 +13,7 @@ from ifipm import (
     generate,
     preprocess,
     recover_direction,
+    short_step,
     solve_exact,
     verify_direction,
 )
@@ -22,7 +21,7 @@ from ifipm import (
 inst = generate(GeneratorSpec(m=3, n=7, kappa_target=10.0,
                               mode="known-optimal", seed=7))
 prep = preprocess(inst.lp)
-beta = 1.0 - 0.2 / np.sqrt(inst.lp.n)
+beta = short_step(inst.lp.n)
 
 print(f"instance: m={inst.lp.m}, n={inst.lp.n}, "
       f"kappa(A)={condition_number(inst.lp.A):.2f}, start mu={inst.start.mu:.3f}\n")
@@ -36,7 +35,7 @@ for kind in SystemKind:
 sys = assemble(SystemKind.MNES, inst.start, prep, beta)
 z = solve_exact(sys.matrix, sys.rhs).solution
 direction = recover_direction(sys, z, inst.start, prep)
-report = verify_direction(direction, inst.start, inst.lp, beta, eta=0.1, theta=0.4)
+report = verify_direction(direction, inst.start, inst.lp, beta)
 print("\nexact basis-scaled step:")
 print(f"  ||A dx||_inf          = {report.primal_residual:.3e}")
 print(f"  ||A^T dy + ds||_inf   = {report.dual_residual:.3e}")

@@ -17,7 +17,9 @@ from ifipm import (
     preprocess,
     if_ipm,
     residuals,
+    short_step,
 )
+from ifipm.newton import solve_target
 from ifipm.solvers import OracleSolver
 
 inst = generate(GeneratorSpec(m=6, n=12, kappa_target=100.0, seed=3))
@@ -40,9 +42,8 @@ print(f"neighborhood exits: {sum(not r.in_neighborhood for r in trace.records)}"
 # one step from the start, solved inexactly, with the correction dropped:
 # the injected residual lands straight in A x
 it = inst.start
-beta = params.resolve_beta(lp.n)
-sys = assemble(SystemKind.MNES, it, prep, beta)
-target = params.eta / np.sqrt(1 + params.theta) * np.sqrt(it.mu)
+sys = assemble(SystemKind.MNES, it, prep, short_step(lp.n))
+target = solve_target(SystemKind.MNES, it, prep)
 z = OracleSolver(mode="adversarial", seed=9)(sys.matrix, sys.rhs, target).solution
 
 from ifipm import recover_direction, Iterate

@@ -20,6 +20,7 @@ from ifipm import (
     generate,
     preprocess,
     select_basis_mwb,
+    short_step,
 )
 from ifipm.cli import condition_trace
 from ifipm.solvers import solve_cg
@@ -28,7 +29,7 @@ inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
                               mode="known-optimal", seed=5))
 prep = preprocess(inst.lp)
 params = IpmParams(zeta=1e-6)
-beta = params.resolve_beta(inst.lp.n)
+beta = short_step(inst.lp.n)
 trace = condition_trace(prep, inst.start, params, [SystemKind.NES, SystemKind.PNES])
 max_nes = max(row["kappa_NES"] for row in trace.rows)
 max_pnes = max(row["kappa_PNES"] for row in trace.rows)

@@ -69,6 +69,7 @@ from .ipm import (
     check_parameters,
     if_ipm,
     ir_if_ipm,
+    short_step,
 )
 from .io import LoadedInstance, load_instance, save_instance
 

@@ -72,16 +72,17 @@ def condition_trace(prep, start: Iterate, params: IpmParams, kinds) -> Condition
     """Run ``if_ipm`` and record the condition number of each of ``kinds``.
 
     At every iterate the loop's own system (``params.system``) is reused
-    for its kind and every other kind is assembled at that iterate; one
-    row per accepted step, ``{"k", "mu", "kappa_<KIND>"...}``.
+    for its kind and every other kind is assembled at that iterate with
+    that system's ``beta``; one row per accepted step,
+    ``{"k", "mu", "kappa_<KIND>"...}``.
     """
-    beta = params.resolve_beta(prep.base.n)
     rows = []
 
     def observer(k, it, system, direction, new_it):
         row = {"k": k, "mu": it.mu}
         for kind in kinds:
-            sys_k = system if kind is system.kind else assemble(kind, it, prep, beta)
+            sys_k = (system if kind is system.kind
+                     else assemble(kind, it, prep, system.beta))
             row[f"kappa_{kind.name}"] = condition_number(sys_k)
         rows.append(row)
 
@@ -188,8 +189,7 @@ def _system_from_args(args) -> SystemKind:
 
 def _params_from_args(args, system: SystemKind,
                       condition_numbers: bool = False) -> IpmParams:
-    return IpmParams(theta=args.theta, eta=args.eta, zeta=args.zeta,
-                     system=system, solver=_solver_from_args(args),
+    return IpmParams(zeta=args.zeta, system=system, solver=_solver_from_args(args),
                      condition_numbers=condition_numbers)
 
 
@@ -334,10 +334,6 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--zeta-hat", dest="zeta_hat", type=float, default=None,
                         help="per-loop precision in (0, 1/2); enables outer iterative "
                              "refinement")
-    parser.add_argument("--theta", type=float, default=0.4,
-                        help="central-path neighborhood radius")
-    parser.add_argument("--eta", type=float, default=0.1,
-                        help="inexactness budget")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ m - 1, whose columns cannot span the row space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,10 +49,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
             raise errors.DimensionOrder(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        if self.kappa_target < 1.0:
-            raise errors.InvalidParameters("kappa_target must be >= 1")
-        if self.mu0 <= 0.0:
-            raise errors.InvalidParameters("mu0 must be positive")
+        if not 1.0 <= self.kappa_target < math.inf:
+            raise errors.InvalidParameters("kappa_target must be finite and >= 1")
+        if not 0.0 < self.mu0 < math.inf:
+            raise errors.InvalidParameters("mu0 must be positive and finite")
         if self.mode not in MODES:
             raise errors.InvalidParameters(f"mode must be one of {MODES}")
         if self.degenerate and self.mode != "known-optimal":

@@ -4,16 +4,19 @@ The loop takes full Newton steps computed from any of the six system
 formulations, solving each to an absolute residual target that keeps the
 corrected step convergent:
 
-* basis-scaled kinds (MNES/PNES): ``(eta / sqrt(1+theta)) * sqrt(mu)``
+* basis-scaled kinds (MNES/PNES): ``(ETA / sqrt(1+THETA)) * sqrt(mu)``
   in the 2-norm (the stricter of the two candidate norms);
-* OSS: ``eta * mu`` — its solve residual lands directly in the centering
+* OSS: ``ETA * mu`` — its solve residual lands directly in the centering
   row, so it must meet the row bound itself;
 * plain NES: the pseudoinverse-correction admissibility level, capped by
   the basis-scaled target;
 * FNS/AS: the basis-scaled target (no correction exists for them, so
   they are only safe with near-exact solvers).
 
-Each kind's target, assembly and recovery are its record in
+``THETA = 0.4`` and ``ETA = 0.1`` are the method's constants
+(:mod:`ifipm.newton`); with the step :func:`short_step` they meet both
+conditions of :func:`check_parameters` for every ``n``. Each kind's
+target, assembly and recovery are its record in
 :data:`ifipm.newton.FORMULATIONS`.
 
 The outer driver re-solves a scaled residual instance per loop: with
@@ -25,7 +28,6 @@ substituting the shifted variable back.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -34,6 +36,7 @@ import numpy as np
 
 from . import errors
 from .newton import (
+    THETA,
     SystemKind,
     assemble,
     condition_number,
@@ -58,11 +61,10 @@ __all__ = [
     "RefinementState",
     "ParameterCheck",
     "check_parameters",
+    "short_step",
     "if_ipm",
     "ir_if_ipm",
 ]
-
-log = logging.getLogger(__name__)
 
 FEAS_RTOL = 1e-8  # feasibility maintained relative to 1 + ||b||, 1 + ||c||
 
@@ -105,45 +107,35 @@ def check_parameters(n: int, theta: float, eta: float, beta: float) -> Parameter
     )
 
 
+def short_step(n: int) -> float:
+    """The step ``beta = 1 - 0.2/sqrt(n)`` every iteration takes."""
+    return 1.0 - 0.2 / math.sqrt(n)
+
+
 @dataclass(frozen=True, eq=False)
 class IpmParams:
     """Run parameters of the short-step loop.
 
-    The step is the short step ``beta = 1 - 0.2/sqrt(n)``
-    (:meth:`resolve_beta`), and the iteration budget is derived from the
-    start's measure and ``zeta``; neither is settable.
-    ``override_parameter_check=True`` lets a run proceed with parameters
-    that fail :func:`check_parameters` (the verdict is still evaluated
-    and attached to the trace). The default ``theta=0.4, eta=0.1``
-    passes both conditions; ``theta=0.7`` is accepted only with the
-    override flag since it fails the second condition.
-    ``condition_numbers=True`` records the spectral condition number of
-    every assembled system (one SVD per iteration); off, the records
-    carry ``None``. :func:`ir_if_ipm` ignores ``zeta`` and sets it per
-    inner loop.
+    The neighborhood, the inexactness budget and the step are the
+    method's own (``THETA``, ``ETA``, :func:`short_step`), and the
+    iteration budget is derived from the start's measure and ``zeta``;
+    none is settable. ``condition_numbers=True`` records the spectral
+    condition number of every assembled system (one SVD per iteration);
+    off, the records carry ``None``. :func:`ir_if_ipm` ignores ``zeta``
+    and sets it per inner loop.
     """
 
-    theta: float = 0.4
-    eta: float = 0.1
     zeta: float = 1e-6
     system: SystemKind = SystemKind.MNES
     solver: Callable = field(default_factory=ExactSolver)
-    override_parameter_check: bool = False
     condition_numbers: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.theta < 1.0:
-            raise errors.InvalidParameters("theta must lie in [0, 1)")
-        if not 0.0 <= self.eta < 1.0:
-            raise errors.InvalidParameters("eta must lie in [0, 1)")
         if not 0.0 < self.zeta < math.inf:
             raise errors.InvalidParameters("zeta must be positive and finite")
         if not isinstance(self.system, SystemKind):
             raise errors.InvalidParameters(
                 f"system must be a SystemKind, got {self.system!r}")
-
-    def resolve_beta(self, n: int) -> float:
-        return 1.0 - 0.2 / math.sqrt(n)
 
 
 def _iteration_budget(n: int, mu0: float, zeta: float) -> int:
@@ -177,7 +169,6 @@ class IpmTrace:
     """
 
     records: tuple
-    parameter_check: ParameterCheck
     max_kappa: Optional[float] = None
 
 
@@ -196,10 +187,10 @@ class RefinementState:
     max_kappa: Optional[float]
 
 
-def _trace(records: list, pcheck: ParameterCheck, params: IpmParams) -> IpmTrace:
+def _trace(records: list, params: IpmParams) -> IpmTrace:
     max_kappa = (max((r.kappa_system for r in records), default=0.0)
                  if params.condition_numbers else None)
-    return IpmTrace(tuple(records), pcheck, max_kappa)
+    return IpmTrace(tuple(records), max_kappa)
 
 
 def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
@@ -209,7 +200,7 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     Runs until ``mu <= params.zeta``. Every produced iterate must stay
     feasible and inside the neighborhood; an exit raises
     :class:`~ifipm.errors.LeftNeighborhood` since under the residual
-    contract it signals a bug or an overridden parameter set. Every
+    contract it signals a bug or a loss of precision. Every
     :class:`~ifipm.errors.SolveError` leaving the loop carries the
     ``iterate`` the failing step started from and the ``trace`` so far,
     whose last record is the failing step when it got that far: the
@@ -225,18 +216,10 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     """
     lp = prep.base
     n = lp.n
-    beta = params.resolve_beta(n)
-    pcheck = check_parameters(n, params.theta, params.eta, beta)
-    log.debug("parameter check: %s", pcheck)
-    if not pcheck.ok and not params.override_parameter_check:
-        raise errors.InvalidParameters(
-            f"(beta={beta:.6f}, eta={params.eta}, theta={params.theta}, n={n}) "
-            f"fail the convergence conditions: {pcheck}; "
-            "pass override_parameter_check=True to run anyway")
-
-    if not in_neighborhood(start, params.theta):
+    beta = short_step(n)
+    if not in_neighborhood(start, THETA):
         raise errors.NotInNeighborhood(
-            f"start is outside the theta={params.theta} neighborhood")
+            f"start is outside the theta={THETA} neighborhood")
     b_scale = 1.0 + float(np.linalg.norm(lp.b, np.inf))
     c_scale = 1.0 + float(np.linalg.norm(lp.c, np.inf))
     r0 = residuals(lp, start)
@@ -251,12 +234,12 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
         for k in range(max_it + 1):
             mu = it.mu
             if mu <= params.zeta:
-                return it, _trace(records, pcheck, params)
+                return it, _trace(records, params)
             if k == max_it:
                 raise errors.MaxIterations(
                     f"mu={mu:.3e} above zeta={params.zeta:.3e} after {max_it} iterations")
             system = assemble(params.system, it, prep, beta)
-            target = solve_target(params.system, it, prep, params.eta, params.theta)
+            target = solve_target(params.system, it, prep)
             report = params.solver(system, system.rhs, target)
             if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
                 raise errors.SolverFailure(
@@ -266,7 +249,7 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
             new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
                              it.s + direction.ds)
             r_new = residuals(lp, new_it)
-            inside = in_neighborhood(new_it, params.theta)
+            inside = in_neighborhood(new_it, THETA)
             records.append(IterationRecord(
                 k=k,
                 mu=mu,
@@ -282,7 +265,7 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
                 observer(k, it, system, direction, new_it)
             if not inside:
                 raise errors.LeftNeighborhood(
-                    f"iterate {k + 1} left the theta={params.theta} neighborhood")
+                    f"iterate {k + 1} left the theta={THETA} neighborhood")
             if (r_new.primal_inf > FEAS_RTOL * b_scale
                     or r_new.dual_inf > FEAS_RTOL * c_scale):
                 raise errors.LeftNeighborhood(
@@ -293,7 +276,7 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
         # the loop's own raises and those inside assembly, the solver or
         # recovery: carry the step's start and the partial trace
         if exc.iterate is None and exc.trace is None:
-            exc.iterate, exc.trace = it, _trace(records, pcheck, params)
+            exc.iterate, exc.trace = it, _trace(records, params)
         raise
     raise AssertionError("unreachable")  # loop always returns or raises
 

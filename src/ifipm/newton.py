@@ -65,9 +65,17 @@ __all__ = [
     "verify_direction",
     "condition_number",
     "chi_bar",
+    "THETA",
+    "ETA",
 ]
 
 MWB_TOL = 1e-10  # rank-acceptance threshold, relative to column norm
+
+#: the method's neighborhood radius and inexactness budget, fixed: with
+#: :func:`ifipm.ipm.short_step` they meet both conditions of
+#: :func:`ifipm.ipm.check_parameters` for every n >= 1
+THETA = 0.4
+ETA = 0.1
 
 
 class SystemKind(enum.Enum):
@@ -92,9 +100,9 @@ class Formulation:
 
     :data:`FORMULATIONS` holds one record per kind.
     ``build(kind, it, prep, beta)`` assembles the system,
-    ``target(it, prep, eta, theta)`` is the absolute residual its solve
-    must meet, and ``recover(system, solution, it, prep)`` turns that
-    solve into a :class:`Direction`. The entries call
+    ``target(it, prep)`` is the absolute residual its solve must meet,
+    and ``recover(system, solution, it, prep)`` turns that solve into a
+    :class:`Direction`. The entries call
     ``_basis_products``, :func:`select_basis_mwb` and the
     ``recover_direction_*`` functions by module-global name at call time,
     so a replaced module attribute is the one that runs.
@@ -165,11 +173,11 @@ class DirectionReport:
     third_row_residual: float  # ||X ds + S dx - (beta mu e - x*s) + S v||_inf
     dx_dot_ds: float
     sv_inf: float  # ||S v||_inf
-    sv_bound: float  # eta * mu
+    sv_bound: float  # ETA * mu
     sv_ok: bool
     rhat_inf: float
     rhat_two: float
-    rhat_bound: float  # (eta / sqrt(1+theta)) * sqrt(mu)
+    rhat_bound: float  # (ETA / sqrt(1+THETA)) * sqrt(mu)
     mu: float
 
 
@@ -337,10 +345,9 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     return FORMULATIONS[kind].build(kind, it, prep, beta)
 
 
-def solve_target(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
-                 eta: float, theta: float) -> float:
+def solve_target(kind: SystemKind, it: Iterate, prep: PreprocessedProgram) -> float:
     """Absolute residual the solve of a ``kind`` system must meet at ``it``."""
-    return FORMULATIONS[kind].target(it, prep, eta, theta)
+    return FORMULATIONS[kind].target(it, prep)
 
 
 def recover_direction(system: AssembledSystem, solution: np.ndarray, it: Iterate,
@@ -397,14 +404,14 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
                      system=system.kind)
 
 
-def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram, eta: float) -> float:
+def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram) -> float:
     """Admissible normal-equation residual for the pseudoinverse correction.
 
-    ``eta * mu / (||s||_inf * sigma_max(A))`` — the level below which the
-    dense correction keeps ``||S v||_inf <= eta * mu``. Often impractically
+    ``ETA * mu / (||s||_inf * sigma_max(A))`` — the level below which the
+    dense correction keeps ``||S v||_inf <= ETA * mu``. Often impractically
     small, which is what motivates the basis-supported correction.
     """
-    return eta * it.mu / (float(np.linalg.norm(it.s, np.inf)) * prep.A_norm)
+    return ETA * it.mu / (float(np.linalg.norm(it.s, np.inf)) * prep.A_norm)
 
 
 def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Iterate,
@@ -466,18 +473,18 @@ def recover_direction_as(system: AssembledSystem, solution: np.ndarray, it: Iter
                      correction_v=np.zeros(n), system=SystemKind.AS)
 
 
-def _base_target(it, prep, eta, theta) -> float:
+def _base_target(it, prep) -> float:
     # the stricter 2-norm form of the basis-scaled admissibility level
-    return eta / math.sqrt(1.0 + theta) * math.sqrt(it.mu)
+    return ETA / math.sqrt(1.0 + THETA) * math.sqrt(it.mu)
 
 
-def _nes_target(it, prep, eta, theta) -> float:
-    return min(_base_target(it, prep, eta, theta), proc_a_residual_bound(it, prep, eta))
+def _nes_target(it, prep) -> float:
+    return min(_base_target(it, prep), proc_a_residual_bound(it, prep))
 
 
-def _oss_target(it, prep, eta, theta) -> float:
-    # the solve residual lands in the centering row, which must meet eta mu
-    return eta * it.mu
+def _oss_target(it, prep) -> float:
+    # the solve residual lands in the centering row, which must meet ETA mu
+    return ETA * it.mu
 
 
 FORMULATIONS = {
@@ -507,7 +514,7 @@ FORMULATIONS = {
 
 
 def verify_direction(direction: Direction, it: Iterate, lp: LinearProgram,
-                     beta: float, eta: float, theta: float) -> DirectionReport:
+                     beta: float) -> DirectionReport:
     """Measure how well a direction satisfies the corrected Newton system."""
     dx, dy, ds = direction.dx, direction.dy, direction.ds
     v = direction.correction_v
@@ -521,11 +528,11 @@ def verify_direction(direction: Direction, it: Iterate, lp: LinearProgram,
         third_row_residual=float(np.linalg.norm(third, np.inf)),
         dx_dot_ds=float(dx @ ds),
         sv_inf=sv_inf,
-        sv_bound=eta * mu,
-        sv_ok=bool(sv_inf <= eta * mu * (1.0 + 1e-12) + 1e-12),
+        sv_bound=ETA * mu,
+        sv_ok=bool(sv_inf <= ETA * mu * (1.0 + 1e-12) + 1e-12),
         rhat_inf=float(np.linalg.norm(r_hat, np.inf)) if r_hat.size else 0.0,
         rhat_two=float(np.linalg.norm(r_hat)),
-        rhat_bound=eta / np.sqrt(1.0 + theta) * np.sqrt(mu),
+        rhat_bound=ETA / np.sqrt(1.0 + THETA) * np.sqrt(mu),
         mu=mu,
     )
 

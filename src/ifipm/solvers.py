@@ -46,8 +46,8 @@ EXACT_RTOL = 1e-12  # solve_exact residual target, relative to 1 + ||rhs||
 
 
 def _check_target(target_residual: float) -> None:
-    if target_residual <= 0:
-        raise errors.InvalidParameters("target_residual must be positive")
+    if not 0.0 < target_residual < math.inf:
+        raise errors.InvalidParameters("target_residual must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +346,8 @@ def refine_linear(
     """
     if not 0.0 < eps_inner < 1.0:
         raise errors.InvalidParameters("eps_inner must lie in (0, 1)")
-    if eps_outer <= 0.0:
-        raise errors.InvalidParameters("eps_outer must be positive")
+    if not 0.0 < eps_outer < math.inf:
+        raise errors.InvalidParameters("eps_outer must be positive and finite")
     op = _operator(matrix)
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])

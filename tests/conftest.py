@@ -34,11 +34,17 @@ def feasible_iterate(rng, inst, scale=0.05):
 
 
 def neighborhood_iterate(rng, n, m, theta, mu):
-    """Random iterate with measure exactly mu and deviation within theta*mu."""
+    """Random iterate with measure exactly mu and deviation within theta*mu.
+
+    At n = 1 the centred deviation is zero and the iterate is centred.
+    """
     x = rng.uniform(0.2, 3.0, n)
     deviation = rng.standard_normal(n)
     deviation -= deviation.mean()
-    deviation *= theta * mu * rng.uniform(0, 1) / np.linalg.norm(deviation)
+    radius = theta * mu * rng.uniform(0, 1)
+    norm = np.linalg.norm(deviation)
+    if norm > 0.0:
+        deviation *= radius / norm
     return Iterate(x, rng.standard_normal(m), (mu + deviation) / x)
 
 

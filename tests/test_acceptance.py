@@ -62,8 +62,7 @@ def oracle_runs():
     for spec in mixed_instances():
         inst = generate(spec)
         prep = preprocess(inst.lp)
-        params = IpmParams(theta=THETA, eta=ETA, zeta=1e-4,
-                           solver=OracleSolver(mode="adversarial", seed=spec.seed))
+        params = IpmParams(zeta=1e-4, solver=OracleSolver(mode="adversarial", seed=spec.seed))
         steps = []
 
         def observer(k, it, system, direction, new_it):
@@ -167,8 +166,7 @@ def test_criterion_5_iteration_scaling():
             inst = generate(GeneratorSpec(m=n // 2, n=n, kappa_target=10.0,
                                           seed=200 + seed))
             prep = preprocess(inst.lp)
-            _, trace = if_ipm(prep, inst.start,
-                              IpmParams(theta=THETA, eta=ETA, zeta=1e-4))
+            _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-4))
             counts.append(len(trace.records))
         medians.append(float(np.median(counts)))
     ratios = [b / a for a, b in zip(medians, medians[1:])]
@@ -182,7 +180,7 @@ def test_criterion_6_condition_number_rates():
     degenerate = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0,
                                         mode="known-optimal", degenerate=True,
                                         seed=3))
-    params = IpmParams(theta=THETA, eta=ETA, zeta=1e-7)
+    params = IpmParams(zeta=1e-7)
     trace = condition_trace(preprocess(degenerate.lp), degenerate.start, params, kinds)
     s_nes = slope_fit(trace, SystemKind.NES, (1e-6, 1e-2))
     s_oss = slope_fit(trace, SystemKind.OSS, (1e-6, 1e-2))
@@ -204,8 +202,7 @@ def test_criterion_6_condition_number_rates():
 def test_criterion_7_preconditioning():
     inst = generate(GeneratorSpec(m=4, n=8, kappa_target=1e6,
                                   mode="known-optimal", seed=5))
-    trace = condition_trace(preprocess(inst.lp), inst.start,
-                            IpmParams(theta=THETA, eta=ETA, zeta=1e-6),
+    trace = condition_trace(preprocess(inst.lp), inst.start, IpmParams(zeta=1e-6),
                             [SystemKind.NES, SystemKind.PNES])
     max_nes = max(row["kappa_NES"] for row in trace.rows)
     max_pnes = max(row["kappa_PNES"] for row in trace.rows)
@@ -244,7 +241,7 @@ def test_criterion_8_iterative_refinement(tmp_path):
     for spec in specs:
         inst = generate(spec)
         final, states = ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2,
-                                  params=IpmParams(theta=THETA, eta=ETA))
+                                  params=IpmParams())
         assert final.mu <= 1e-8
         loops_ok &= len(states) <= 5
         gaps = [float(inst.start.x @ inst.start.s)] + [st.gap for st in states]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifipm import GeneratorSpec, IpmParams, SystemKind, generate, if_ipm, load_instance
-from ifipm import assemble, condition_number, errors, preprocess
+from ifipm import assemble, condition_number, errors, preprocess, short_step
 from ifipm.cli import (
     ConditionTrace,
     condition_trace,
@@ -28,6 +28,14 @@ def test_generate_writes_valid_instance(tmp_path):
     assert loaded.interior is not None
     assert loaded.optimal is not None
     assert loaded.partition is not None
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_generate_rejects_non_finite_kappa(tmp_path, capsys, kappa):
+    # exit 2 either way; the message once blamed rank(A) or the problem data
+    assert run("generate", "--m", 3, "--n", 7, "--kappa", kappa,
+               "--out", tmp_path / "inst.json") == 2
+    assert "kappa_target must be finite" in capsys.readouterr().err
 
 
 def test_generate_is_reproducible(tmp_path):
@@ -162,7 +170,7 @@ def test_trace_single_iteration_matches_direct_assembly(tmp_path):
     assert len(trace.rows) == 1
     loaded = load_instance(inst_path)
     prep = preprocess(loaded.lp)
-    beta = IpmParams().resolve_beta(loaded.lp.n)
+    beta = short_step(loaded.lp.n)
     for kind in SystemKind:
         direct = condition_number(assemble(kind, loaded.interior, prep, beta))
         assert trace.rows[0][f"kappa_{kind.name}"] == pytest.approx(direct, rel=1e-9)
@@ -186,7 +194,7 @@ def test_condition_trace_matches_per_iteration_assembly():
     prep = preprocess(inst.lp)
     params = IpmParams(zeta=1e-5, system=SystemKind.MNES)
     kinds = [SystemKind.NES, SystemKind.MNES, SystemKind.PNES]
-    beta = params.resolve_beta(inst.lp.n)
+    beta = short_step(inst.lp.n)
     expected = []
 
     def observer(k, it, system, direction, new_it):

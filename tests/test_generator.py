@@ -101,3 +101,11 @@ def test_spec_validation():
         GeneratorSpec(m=2, n=4, mode="bogus")
     with pytest.raises(errors.InvalidParameters):
         GeneratorSpec(m=2, n=4, degenerate=True)  # needs known-optimal mode
+
+
+@pytest.mark.parametrize("field", ["kappa_target", "mu0"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_spec_rejects_non_finite_values(field, value):
+    # both once reached generation, which failed with a rank or a data error
+    with pytest.raises(errors.InvalidParameters, match=field):
+        GeneratorSpec(m=3, n=7, **{field: value})

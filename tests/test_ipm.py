@@ -19,8 +19,10 @@ from ifipm import (
     ir_if_ipm,
     preprocess,
     residuals,
+    short_step,
 )
 from ifipm.ipm import FEAS_RTOL
+from ifipm.newton import ETA, THETA
 from ifipm.solvers import ExactSolver, OracleSolver, RefiningSolver
 
 
@@ -37,6 +39,14 @@ def test_check_parameters_validated_preset():
     assert details.con1_rhs == pytest.approx(1.0 - 0.11 / 10.0)
     assert details.con2_lhs == pytest.approx(0.21 / (2**1.5 * 0.6) + 0.1)
     assert details.con2_rhs == pytest.approx(0.4 * (0.98 - 0.01))
+
+
+def test_preset_meets_both_conditions_for_every_n():
+    # if_ipm does not evaluate the conditions at run time; this is where
+    # they are shown to hold for the only values it can run
+    assert THETA == 0.4 and ETA == 0.1
+    for n in [*range(1, 10**4 + 1), 10**5, 10**6, 10**7]:
+        assert check_parameters(n, THETA, ETA, short_step(n)).ok, n
 
 
 def test_check_parameters_large_theta_fails_second_condition():
@@ -57,7 +67,6 @@ def test_if_ipm_converges_with_exact_solver():
     assert final.mu <= 1e-2
     bound = 10.0 * math.sqrt(20) * math.log(inst.start.mu / 1e-2)
     assert len(trace.records) <= bound
-    assert trace.parameter_check.ok
 
 
 def test_if_ipm_inexact_oracle_keeps_guarantees():
@@ -67,8 +76,8 @@ def test_if_ipm_inexact_oracle_keeps_guarantees():
     params = IpmParams(zeta=1e-4, solver=OracleSolver(mode="adversarial", seed=5))
     final, trace = if_ipm(prep, inst.start, params)
     assert final.mu <= 1e-4
-    beta = params.resolve_beta(lp.n)
-    half_width = params.eta / math.sqrt(1.0 + params.theta)
+    beta = short_step(lp.n)
+    half_width = ETA / math.sqrt(1.0 + THETA)
     b_scale = 1.0 + np.linalg.norm(lp.b, np.inf)
     c_scale = 1.0 + np.linalg.norm(lp.c, np.inf)
     for rec in trace.records:
@@ -93,18 +102,6 @@ def test_if_ipm_rejects_infeasible_start():
     shifted = Iterate(inst.start.x, inst.start.y, inst.start.s * 1.5)
     with pytest.raises(errors.NotInNeighborhood):
         if_ipm(prep, shifted, IpmParams(zeta=1e-2))
-
-
-def test_if_ipm_unvalidated_parameters_need_override():
-    inst = generate(GeneratorSpec(m=4, n=8, seed=4))
-    prep = preprocess(inst.lp)
-    with pytest.raises(errors.InvalidParameters):
-        if_ipm(prep, inst.start, IpmParams(theta=0.7, zeta=1e-2))
-    final, trace = if_ipm(
-        prep, inst.start,
-        IpmParams(theta=0.7, zeta=1e-2, override_parameter_check=True))
-    assert final.mu <= 1e-2
-    assert not trace.parameter_check.ok
 
 
 def test_if_ipm_max_iterations_carries_state(monkeypatch):

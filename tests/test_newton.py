@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from ifipm import (
     BasisFactors,
     GeneratorSpec,
-    IpmParams,
     Iterate,
     LinearProgram,
     SystemKind,
@@ -22,9 +21,10 @@ from ifipm import (
     recover_direction_nes_procA,
     recover_direction_oss,
     select_basis_mwb,
+    short_step,
     verify_direction,
 )
-from ifipm.newton import proc_a_residual_bound, solve_target
+from ifipm.newton import ETA, THETA, proc_a_residual_bound, solve_target
 from ifipm.solvers import solve_exact
 
 from conftest import (
@@ -564,7 +564,7 @@ def test_proc_a_admissibility_formula():
     lp = LinearProgram(A, np.ones(2), 2e3 * np.ones(2))
     it = Iterate(np.array([1e-3, 1e3]), np.zeros(2), np.array([1e3, 1e-3]))
     assert it.mu == pytest.approx(1.0)
-    assert proc_a_residual_bound(it, preprocess(lp), 0.1) == pytest.approx(1e-7, rel=1e-12)
+    assert proc_a_residual_bound(it, preprocess(lp)) == pytest.approx(1e-7, rel=1e-12)
 
 
 def test_oss_zero_solution_zero_direction(central_instance):
@@ -613,7 +613,7 @@ def test_verify_direction_exact_step(central_instance):
     sys = assemble(SystemKind.MNES, it, prep, beta)
     z = solve_exact(sys.matrix, sys.rhs).solution
     d = recover_direction(sys, z, it, prep)
-    report = verify_direction(d, it, lp, beta, eta=0.1, theta=0.4)
+    report = verify_direction(d, it, lp, beta)
     assert report.primal_residual <= 1e-8
     assert report.dual_residual <= 1e-8
     assert report.third_row_residual <= 1e-8
@@ -634,7 +634,7 @@ def test_verify_direction_flags_missing_correction(central_instance):
     z = solve_exact(sys.matrix, sys.rhs + r_hat).solution
     d = recover_direction(sys, z, it, prep)
     broken = replace(d, dx=d.dx + d.correction_v, correction_v=np.zeros(lp.n))
-    report = verify_direction(broken, it, lp, beta, eta=0.1, theta=0.4)
+    report = verify_direction(broken, it, lp, beta)
     assert report.primal_residual > 1e-6  # drift is visible without v
 
 
@@ -645,21 +645,20 @@ def test_verify_direction_flags_missing_correction(central_instance):
 def test_correction_lemma_on_injected_residuals(m, extra, log_kappa, kind, log_mu, u,
                                                 seed):
     # a solve residual within the basis-scaled target keeps ||S v||_inf <=
-    # eta mu in the theta neighborhood, whichever basis the system holds
-    theta, eta = 0.4, 0.1
+    # ETA mu in the THETA neighborhood, whichever basis the system holds
     inst = generate(GeneratorSpec(m=m, n=m + extra, kappa_target=10.0 ** log_kappa,
                                   seed=seed))
     lp, prep = inst.lp, preprocess(inst.lp)
     rng = np.random.default_rng(seed)
-    it = neighborhood_iterate(rng, lp.n, lp.m, theta, 10.0 ** log_mu)
-    beta = IpmParams().resolve_beta(lp.n)
+    it = neighborhood_iterate(rng, lp.n, lp.m, THETA, 10.0 ** log_mu)
+    beta = short_step(lp.n)
     sys = assemble(kind, it, prep, beta)
-    target = solve_target(kind, it, prep, eta, theta)
+    target = solve_target(kind, it, prep)
     r = rng.standard_normal(lp.m)
     r *= u * target / np.linalg.norm(r)
     d = recover_direction(sys, solve_exact(sys, sys.rhs + r).solution, it, prep)
     if np.linalg.norm(d.residual_hat) <= target:
-        assert verify_direction(d, it, lp, beta, eta=eta, theta=theta).sv_ok
+        assert verify_direction(d, it, lp, beta).sv_ok
 
 
 def test_condition_number_basics():

@@ -10,6 +10,8 @@ from ifipm import (
     residuals,
 )
 
+from conftest import neighborhood_iterate
+
 
 def test_rank_deficient_rejected():
     with pytest.raises(errors.RankDeficient):
@@ -85,6 +87,16 @@ def test_neighborhood_componentwise_bound():
             mu = it.mu
             assert np.all(x * s >= (1 - theta) * mu - 1e-12)
             assert np.all(x * s <= (1 + theta) * mu + 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_neighborhood_iterate_helper(n):
+    # at n = 1 the helper once divided by a zero norm and returned s = [nan]
+    rng = np.random.default_rng(n)
+    it = neighborhood_iterate(rng, n, 1, 0.4, 1e-3)
+    assert np.isfinite(it.s).all()
+    assert in_neighborhood(it, 0.4)
+    assert it.mu == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_preprocess_identity_prefix():

@@ -106,6 +106,20 @@ def test_nonpositive_target_rejected(solve, target):
         solve(np.eye(3), np.ones(3), target)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", [
+    OracleSolver(mode="random"), OracleSolver(mode="adversarial"), solve_cg, PcgSolver(),
+    lambda M, b, target: refine_linear(OracleSolver(), M, b, target, 1e-1),
+    RefiningSolver(),
+], ids=["oracle-random", "oracle-adversarial", "solve_cg", "PcgSolver", "refine_linear",
+        "RefiningSolver"])
+def test_non_finite_target_rejected(solve, target):
+    # the oracle once returned a nan solution as converged, CG reported
+    # negative curvature and refinement died in math.ceil
+    with pytest.raises(errors.InvalidParameters):
+        solve(np.diag([2.0, 1.0]), np.ones(2), target)
+
+
 def test_oracle_random_residual_window():
     rng = np.random.default_rng(4)
     M = random_spd(rng, 12)
