@@ -8,8 +8,9 @@ corrected step convergent:
   in the 2-norm (the stricter of the two candidate norms);
 * OSS: ``ETA * mu`` — its solve residual lands directly in the centering
   row, so it must meet the row bound itself;
-* plain NES: the pseudoinverse-correction admissibility level, capped by
-  the basis-scaled target;
+* plain NES: the pseudoinverse-correction admissibility level
+  ``ETA * mu * sigma_min(A) / ||s||_inf``, capped by the basis-scaled
+  target;
 * FNS/AS: the basis-scaled target (no correction exists for them, so
   they are only safe with near-exact solvers).
 

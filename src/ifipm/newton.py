@@ -17,8 +17,8 @@ MNES rescales the normal equations by the inverse of a fixed basis
 submatrix chosen once during preprocessing; PNES rebuilds that scaling
 every call from the maximum-weight basis of the current iterate, which
 acts as a preconditioner. The selection runs every call, but when the
-iterate's top-m ratio columns are a basis the program already holds an
-inverse for, and that inverse certifies the set well-conditioned, it
+inverse of the iterate's top-m ratio columns, held by the program or
+built for the assembly anyway, certifies the set well-conditioned, it
 returns them without a QR. For both, an inexact solve with residual
 ``r_hat`` is repaired into an exactly primal-feasible direction by the
 basis-supported correction ``v = (D_B r_hat, 0)``.
@@ -189,7 +189,7 @@ def null_space_basis(A: np.ndarray) -> np.ndarray:
     return vh[m:].T.copy()
 
 
-def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
+def select_basis_mwb(it: Iterate, A: np.ndarray, factors_for=None) -> list:
     """Maximum-weight basis: greedy over columns sorted by x_i / s_i.
 
     Columns are visited in decreasing ratio order (ties broken by lower
@@ -197,11 +197,13 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     measured by the orthogonal remainder exceeding ``1e-10`` of the
     column norm. Returns exactly m indices in acceptance order.
 
-    ``held`` is an iterable of :class:`~ifipm.problem.BasisFactors`
-    records of bases whose inverse the caller already has; only their
-    ``index`` and ``certificate``, ``max_{j in B} ||a_j|| *
-    ||A_B^{-1}||_F``, are read. When the first m columns in ratio order
-    are, as a set, a held basis ``B`` with
+    ``factors_for``, a program's
+    :meth:`~ifipm.problem.PreprocessedProgram.factors_for`, maps the
+    first m columns in ratio order to the
+    :class:`~ifipm.problem.BasisFactors` record of that set ``B``: one the
+    program holds, or one it builds and keeps for the assembly that
+    follows. Only the record's ``certificate``, ``max_{j in B} ||a_j|| *
+    ||A_B^{-1}||_F``, is read. When
     ``1 / ||A_B^{-1}||_F > 2e-10 max_{j in B} ||a_j||``,
     the greedy would accept them all, and they are returned without
     running it: the remainder of any column of ``B`` against any subset
@@ -210,7 +212,9 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     The columns of an invertible ``A_B`` are nonzero, so the greedy
     skips no column before them.
 
-    Otherwise the greedy runs in blocks: the next ``m - k`` nonzero
+    Otherwise, when the set fails the certificate or its inversion raises
+    :class:`~ifipm.errors.SingularBasis`, or without ``factors_for``, the
+    greedy runs in blocks: the next ``m - k`` nonzero
     columns, with the ``k`` accepted directions projected out twice, take
     one Householder QR, whose ``|R_ii|`` is the remainder of column ``i``
     against everything before it. The block's prefix up to the first
@@ -222,10 +226,12 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, held=()) -> list:
     if not it.is_interior:
         raise errors.SingularDiagonal("basis selection needs a strictly interior iterate")
     order = np.lexsort((np.arange(n), -(it.x / it.s)))
-    top = np.sort(order[:m])
-    for factors in held:
-        if (np.array_equal(top, np.sort(factors.index))
-                and 2.0 * MWB_TOL * factors.certificate < 1.0):
+    if factors_for is not None:
+        try:
+            certified = 2.0 * MWB_TOL * factors_for(order[:m]).certificate < 1.0
+        except errors.SingularBasis:
+            certified = False
+        if certified:
             return order[:m].tolist()
     norms = np.linalg.norm(A, axis=0)
     order = order[norms[order] > 0.0]
@@ -333,11 +339,11 @@ def assemble(kind: SystemKind, it: Iterate, prep: PreprocessedProgram,
     The matrix and right-hand side follow the defining equations
     literally. MNES uses the fixed preprocessing basis; PNES reselects
     the maximum-weight basis on every call, passing the program's
-    :meth:`~ifipm.problem.PreprocessedProgram.held_bases` so that a
-    certified repeat of a held set skips the QR. OSS uses the program's
-    null-space basis. Symmetric kinds are exactly symmetric: AS and NES
-    are built as ``0.5 * (M + M.T)``, MNES and PNES as ``I + E_N E_N^T``
-    from one symmetric product. Raises
+    :meth:`~ifipm.problem.PreprocessedProgram.factors_for`, so that a
+    top-m ratio set its own record certifies skips the QR. OSS uses the
+    program's null-space basis. Symmetric kinds are exactly symmetric: AS
+    and NES are built as ``0.5 * (M + M.T)``, MNES and PNES as
+    ``I + E_N E_N^T`` from one symmetric product. Raises
     :class:`~ifipm.errors.SingularDiagonal` on boundary iterates.
     """
     if not it.is_interior:
@@ -407,11 +413,13 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
 def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram) -> float:
     """Admissible normal-equation residual for the pseudoinverse correction.
 
-    ``ETA * mu / (||s||_inf * sigma_max(A))`` — the level below which the
-    dense correction keeps ``||S v||_inf <= ETA * mu``. Often impractically
-    small, which is what motivates the basis-supported correction.
+    ``ETA * mu * sigma_min(A) / ||s||_inf`` — the level below which the
+    dense correction keeps ``||S v||_inf <= ETA * mu``: ``v = A^T (A
+    A^T)^{-1} r`` has ``||v||_2 <= ||r||_2 / sigma_min(A)``. Often
+    impractically small, which is what motivates the basis-supported
+    correction.
     """
-    return ETA * it.mu / (float(np.linalg.norm(it.s, np.inf)) * prep.A_norm)
+    return ETA * it.mu * prep.sigma_min / float(np.linalg.norm(it.s, np.inf))
 
 
 def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Iterate,
@@ -508,7 +516,7 @@ FORMULATIONS = {
         True, True,
         lambda kind, it, prep, beta: _basis_products(
             kind, it, beta,
-            prep.factors_for(select_basis_mwb(it, prep.base.A, prep.held_bases()))),
+            prep.factors_for(select_basis_mwb(it, prep.base.A, prep.factors_for))),
         _base_target, lambda *args: recover_direction_basis_scaled(*args)),
 }
 

@@ -102,8 +102,9 @@ class Iterate:
         """Duality measure x.s / n."""
         return float(self.x @ self.s) / self.x.shape[0]
 
-    @property
+    @cached_property
     def is_interior(self) -> bool:
+        """x > 0 and s > 0 componentwise."""
         return bool((self.x > 0).all() and (self.s > 0).all())
 
 
@@ -159,8 +160,9 @@ class PreprocessedProgram:
     ``factors`` is its :class:`BasisFactors`, in that order. The cached
     properties are per-program constants that some Newton-system kinds
     need, each computed on first use. :meth:`factors_for` gives the
-    record of any other basis and keeps the last one; :meth:`held_bases`
-    lists the records the program holds.
+    record of any other basis and keeps the last one, so a program holds
+    at most two records; :func:`~ifipm.newton.select_basis_mwb` asks it
+    for the record of the iterate's top-m ratio set.
     """
 
     base: LinearProgram
@@ -174,22 +176,23 @@ class PreprocessedProgram:
 
         Whatever the order of ``basis``, the result is the same: the
         record of the last other set asked for is kept, so a repeated set
-        costs nothing, and a kept record equals a newly built one.
+        costs nothing, and a kept record equals a newly built one. Raises
+        :class:`~ifipm.errors.SingularBasis` if a new set is singular.
         """
-        key = sorted(int(j) for j in basis)
-        if key == sorted(self.basis):
+        key = np.sort(np.asarray(basis, dtype=np.intp))
+        raw = key.tobytes()  # equal bytes of two intp arrays: equal arrays
+        if raw == self._basis_key:
             return self.factors
         kept = self._kept
-        if kept is None or kept.index.tolist() != key:
+        if kept is None or kept.index.tobytes() != raw:
             kept = BasisFactors.of(self.base.A, key)
             object.__setattr__(self, "_kept", kept)
         return kept
 
-    def held_bases(self) -> tuple:
-        """:attr:`factors` and the record :meth:`factors_for` keeps, if
-        any, for :func:`~ifipm.newton.select_basis_mwb`."""
-        kept = self._kept
-        return (self.factors,) if kept is None else (self.factors, kept)
+    @cached_property
+    def _basis_key(self) -> bytes:
+        # the preprocessing set in increasing order, as factors_for keys it
+        return np.sort(self.factors.index).tobytes()
 
     @cached_property
     def null_basis(self) -> np.ndarray:
@@ -199,9 +202,9 @@ class PreprocessedProgram:
         return null_space_basis(self.base.A)
 
     @cached_property
-    def A_norm(self) -> float:
-        """Spectral norm ``||A||_2`` (NES residual admissibility)."""
-        return float(np.linalg.norm(self.base.A, 2))
+    def sigma_min(self) -> float:
+        """Smallest singular value of A (NES residual admissibility)."""
+        return float(np.linalg.norm(self.base.A, -2))
 
     @cached_property
     def gram(self):

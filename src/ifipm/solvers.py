@@ -61,8 +61,14 @@ class SolveReport:
     converged: bool = True
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a contiguous vector, bit for bit ``np.linalg.norm(v)``,
+    whose own formula this is, without its argument dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _report(matrix, rhs, solution, iterations, method, converged=True):
-    residual = float(np.linalg.norm(rhs - _operator(matrix).matvec(solution)))
+    residual = _norm(rhs - _operator(matrix).matvec(solution))
     return SolveReport(
         solution=solution,
         achieved_residual=residual,
@@ -191,22 +197,23 @@ def solve_exact(matrix, rhs: np.ndarray) -> SolveReport:
     z = factor.solve(r0)
     if not np.isfinite(z).all():
         raise errors.SingularMatrix("factorization produced non-finite solution")
-    tol = EXACT_RTOL * (1.0 + float(np.linalg.norm(r0)))
+    r0_norm = float(np.linalg.norm(r0))
+    tol = EXACT_RTOL * (1.0 + r0_norm)
     residual = r0 - op.matvec(z)
+    rn = _norm(residual)  # the residual norm of z, as _report takes it
     for _ in range(5):
-        rn = float(np.linalg.norm(residual))
         if rn <= tol:
             break
         d = factor.solve(residual)
         z_new = z + d
-        residual_new = r0 - op.matvec(z_new)
-        if float(np.linalg.norm(residual_new)) >= rn:
+        residual = r0 - op.matvec(z_new)
+        rn_new = _norm(residual)
+        if rn_new >= rn:
             break  # refinement saturated, keep the better iterate
-        z, residual = z_new, residual_new
-    achieved = float(np.linalg.norm(residual))  # recomputed from z, as in _report
-    if achieved > 0.5 * (1.0 + float(np.linalg.norm(r0))):
+        z, rn = z_new, rn_new
+    if rn > 0.5 * (1.0 + r0_norm):
         raise errors.SingularMatrix("matrix is numerically singular")
-    return SolveReport(solution=z, achieved_residual=achieved, iterations=1,
+    return SolveReport(solution=z, achieved_residual=rn, iterations=1,
                        method=factor.method)
 
 
@@ -235,7 +242,7 @@ def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
 
     z = np.zeros(n)
     r = rhs.copy()
-    best_z, best_rn = z.copy(), float(np.linalg.norm(r))
+    best_z, best_rn = z.copy(), _norm(r)
     if best_rn <= target_residual:
         return _report(op, rhs, z, 0, method)
     w = precondition(r) if precondition is not None else r
@@ -250,7 +257,7 @@ def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
         alpha = rho / curvature
         z = z + alpha * p
         r = r - alpha * Mp
-        rn = float(np.linalg.norm(r))
+        rn = _norm(r)
         if rn < best_rn:
             best_z, best_rn = z.copy(), rn
         if rn <= target_residual:
@@ -317,12 +324,15 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
         delta = (a / sig[-1]) * Vt[-1]
 
     z = exact.solution + delta
+    residual = _norm(rhs - M @ z)  # _report's expression
     for _ in range(60):  # hard contract: never exceed the target
-        if float(np.linalg.norm(rhs - M @ z)) <= tol:
+        if residual <= tol:
             break
         delta = 0.5 * delta
         z = exact.solution + delta
-    return _report(M, rhs, z, 1, f"oracle-{mode}")
+        residual = _norm(rhs - M @ z)
+    return SolveReport(solution=z, achieved_residual=residual, iterations=1,
+                       method=f"oracle-{mode}")
 
 
 def refine_linear(
@@ -352,7 +362,7 @@ def refine_linear(
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])
     r = b.copy()
-    rn = float(np.linalg.norm(r))
+    rn = _norm(r)
     if rn <= eps_outer:
         return SolveReport(solution=z, achieved_residual=rn, iterations=0, method="refine")
     cap = math.ceil(math.log(eps_outer / rn) / math.log(eps_inner)) + 2
@@ -365,7 +375,7 @@ def refine_linear(
         step = inner(op, r, eps_inner * rn)
         z = z + step.solution
         r = b - op.matvec(z)
-        new_rn = float(np.linalg.norm(r))
+        new_rn = _norm(r)
         loops += 1
         if rn > 0 and new_rn / rn > stall_factor:
             consecutive_slow += 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifipm import (
+    BasisFactors,
     GeneratorSpec,
     IpmParams,
     Iterate,
@@ -502,8 +503,8 @@ def test_pnes_inverts_once_per_basis_set(monkeypatch):
     sets, inversions = [], []
     select, inv = newton.select_basis_mwb, np.linalg.inv
 
-    def counted_select(it, A, held=()):
-        basis = select(it, A, held)
+    def counted_select(it, A, factors_for=None):
+        basis = select(it, A, factors_for)
         sets.append(frozenset(basis))
         return basis
 
@@ -521,41 +522,48 @@ def test_pnes_inverts_once_per_basis_set(monkeypatch):
     assert 0 < len(inversions) == changes < len(trace.records)
 
 
-def test_pnes_skips_the_qr_on_held_sets(monkeypatch):
-    # a call whose top-m ratio set is a held basis returns it without a
-    # QR; any other call takes at most one
+def test_pnes_skips_the_qr_on_certified_sets(monkeypatch):
+    # a call whose top-m ratio set its own factors certify returns it
+    # without a QR, whether the program held the set or not; any other
+    # call takes at most one
     from ifipm import newton
 
     inst = generate(GeneratorSpec(m=20, n=40, kappa_target=100.0, seed=7))
+    prep = preprocess(inst.lp)
     select, qr = newton.select_basis_mwb, np.linalg.qr
-    qrs, calls = [], []
+    qrs, calls, selected = [], [], []
 
     def counted_qr(*args, **kwargs):
         qrs.append(1)
         return qr(*args, **kwargs)
 
-    def counted_select(it, A, held=()):
-        held = list(held)
+    def counted_select(it, A, factors_for=None):
         m, n = A.shape
-        top = frozenset(np.lexsort((np.arange(n), -(it.x / it.s)))[:m].tolist())
-        is_held = top in {frozenset(factors.index.tolist()) for factors in held}
+        top = np.sort(np.lexsort((np.arange(n), -(it.x / it.s)))[:m])
+        try:
+            certified = 2.0 * newton.MWB_TOL * BasisFactors.of(A, top).certificate < 1.0
+        except errors.SingularBasis:
+            certified = False
+        # the program holds its own set and the one selected last
+        new = frozenset(top.tolist()) not in {frozenset(prep.basis), *selected[-1:]}
         before = len(qrs)
-        basis = select(it, A, held)
-        calls.append((is_held, len(qrs) - before))
+        basis = select(it, A, factors_for)
+        calls.append((certified, new, len(qrs) - before))
+        selected.append(frozenset(basis))
         return basis
 
     monkeypatch.setattr(newton, "select_basis_mwb", counted_select)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    _, trace = if_ipm(preprocess(inst.lp), inst.start,
-                      IpmParams(zeta=1e-3, system=SystemKind.PNES))
+    _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-3, system=SystemKind.PNES))
     assert len(calls) == len(trace.records)
-    assert all(count == 0 for is_held, count in calls if is_held)
-    assert all(count <= 1 for is_held, count in calls if not is_held)
+    assert all(count == 0 for certified, _, count in calls if certified)
+    assert all(count <= 1 for certified, _, count in calls if not certified)
+    assert any(certified and new for certified, new, _ in calls)
     assert len(qrs) < len(trace.records)
 
 
 def test_nes_program_constants_computed_once(monkeypatch):
-    # ||A||_2 (residual target) and A A^T (correction solve) are constants
+    # sigma_min(A) (residual target) and A A^T (correction solve) are constants
     # of the program, computed once however many iterations run, and so is
     # the factorization of A A^T
     from ifipm import solvers
@@ -567,7 +575,7 @@ def test_nes_program_constants_computed_once(monkeypatch):
     norm, solve_exact, factorize = np.linalg.norm, solvers.solve_exact, solvers.factorize
 
     def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
+        if ord == -2 and np.ndim(x) == 2:
             norms.append(x)
         return norm(x, ord, *args, **kwargs)
 
