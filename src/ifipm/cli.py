@@ -22,7 +22,7 @@ import numpy as np
 from . import errors
 from .generator import GeneratorSpec, certify, generate
 from .io import load_instance, save_instance
-from .ipm import IpmParams, if_ipm, ir_if_ipm
+from .ipm import IpmParams, check_zeta_hat, if_ipm, ir_if_ipm
 from .newton import SystemKind, assemble, condition_number
 from .problem import Iterate, preprocess, residuals
 from .solvers import CgSolver, ExactSolver, OracleSolver, PcgSolver, RefiningSolver
@@ -168,29 +168,19 @@ def _single_instance(args):
     return _obtain_instance(args, path=paths[0] if paths else None, seed=args.seed)
 
 
+#: ``--solver`` name -> the handle it builds from the parsed arguments
+SOLVERS = {
+    "exact": lambda args: ExactSolver(),
+    "cg": lambda args: CgSolver(),
+    "pcg": lambda args: PcgSolver(),
+    "oracle": lambda args: OracleSolver(seed=args.seed),
+    "refine": lambda args: RefiningSolver(inner=OracleSolver(seed=args.seed),
+                                          eps_inner=1e-1),
+}
+
+
 def _solver_from_args(args):
-    name = args.solver
-    if name == "exact":
-        return ExactSolver()
-    if name == "cg":
-        return CgSolver()
-    if name == "pcg":
-        return PcgSolver()
-    if name == "oracle":
-        return OracleSolver(seed=args.seed)
-    if name == "refine":
-        return RefiningSolver(inner=OracleSolver(seed=args.seed), eps_inner=1e-1)
-    raise errors.InputError(f"unknown solver {name!r}")
-
-
-def _system_from_args(args) -> SystemKind:
-    return SystemKind.parse(args.system[0] if args.system else "mnes")
-
-
-def _params_from_args(args, system: SystemKind,
-                      condition_numbers: bool = False) -> IpmParams:
-    return IpmParams(zeta=args.zeta, system=system, solver=_solver_from_args(args),
-                     condition_numbers=condition_numbers)
+    return SOLVERS[args.solver](args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +195,16 @@ class _Run:
     states: tuple = ()
 
 
-def _run(args, lp, start, basis) -> _Run:
-    """Solve with condition numbers on; refinement when --zeta-hat is given."""
-    params = _params_from_args(args, _system_from_args(args), condition_numbers=True)
+def _run_params(args) -> IpmParams:
+    """Parameters of ``solve`` and ``batch``: the first --system (MNES by
+    default), condition numbers on."""
+    system = SystemKind(args.system[0] if args.system else "mnes")
+    return IpmParams(zeta=args.zeta, system=system, solver=_solver_from_args(args),
+                     condition_numbers=True)
+
+
+def _run(args, params: IpmParams, lp, start, basis) -> _Run:
+    """Solve with ``params``; refinement when --zeta-hat is given."""
     if args.zeta_hat is not None:
         final, states = ir_if_ipm(lp, start, zeta=args.zeta, zeta_hat=args.zeta_hat,
                                   params=params, basis=basis)
@@ -236,9 +233,10 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     lp, start, basis = _single_instance(args)
-    run = _run(args, lp, start, basis)
+    params = _run_params(args)
+    run = _run(args, params, lp, start, basis)
     out = Path(args.out)
-    payload = {"system": _system_from_args(args).value, "solver": args.solver}
+    payload = {"system": params.system.value, "solver": args.solver}
     if args.zeta_hat is not None:
         payload["loops"] = run.loops
         loop_rows = [[st.loop_index, st.scale, st.gap, st.mu,
@@ -266,9 +264,10 @@ def cmd_solve(args) -> int:
 
 def cmd_trace(args) -> int:
     lp, start, basis = _single_instance(args)
-    requested = [SystemKind.parse(name) for name in args.system or []] or TRACE_KINDS
+    requested = [SystemKind(name) for name in args.system or []] or TRACE_KINDS
     kinds = [kind for kind in TRACE_KINDS if kind in requested]
-    params = _params_from_args(args, requested[0])  # the first --system drives the loop
+    # the first --system drives the loop
+    params = IpmParams(zeta=args.zeta, system=requested[0], solver=_solver_from_args(args))
     trace = condition_trace(preprocess(lp, basis), start, params, kinds)
     write_condition_trace(args.out, trace)
     print(f"{len(trace.rows)} iterations -> {args.out}")
@@ -276,9 +275,14 @@ def cmd_trace(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    # bad flags fail the command before any instance runs, a bad file its row
+    params = _run_params(args)
+    if args.zeta_hat is not None:
+        check_zeta_hat(args.zeta_hat)
     if args.instance:
         sources = [(str(path), path, None) for path in args.instance]
     else:
+        _spec_from_args(args, args.seed)
         sources = [(f"seed-{seed}", None, seed)
                    for seed in range(args.seed, args.seed + args.count)]
     rows = []
@@ -286,7 +290,7 @@ def cmd_batch(args) -> int:
     for name, path, seed in sources:  # seed None leaves the seed cell empty
         t0 = time.perf_counter()
         try:
-            run = _run(args, *_obtain_instance(args, path, seed))
+            run = _run(args, params, *_obtain_instance(args, path, seed))
             gap = float(run.final.x @ run.final.s)
             wall = time.perf_counter() - t0 if args.timing else 0.0
             rows.append([name, seed, True, run.iterations, run.loops, gap,
@@ -323,17 +327,17 @@ def _add_generator_flags(parser) -> None:
                         default="central-start")
 
 
-def _add_run_flags(parser) -> None:
+def _add_run_flags(parser, refinement: bool = True) -> None:
     parser.add_argument("--system", action="append",
                         choices=[k.value for k in SystemKind],
                         help="Newton-system formulation (repeatable; first is primary)")
-    parser.add_argument("--solver", choices=["exact", "cg", "pcg", "oracle", "refine"],
-                        default="exact")
+    parser.add_argument("--solver", choices=list(SOLVERS), default="exact")
     parser.add_argument("--zeta", type=float, default=1e-6,
                         help="target duality measure")
-    parser.add_argument("--zeta-hat", dest="zeta_hat", type=float, default=None,
-                        help="per-loop precision in (0, 1/2); enables outer iterative "
-                             "refinement")
+    if refinement:
+        parser.add_argument("--zeta-hat", dest="zeta_hat", type=float, default=None,
+                            help="per-loop precision in (0, 1/2); enables outer "
+                                 "iterative refinement")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="condition numbers of every formulation per iteration")
     p_trace.add_argument("--instance", action="append")
     _add_generator_flags(p_trace)
-    _add_run_flags(p_trace)
+    _add_run_flags(p_trace, refinement=False)
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--out", required=True)
     p_trace.set_defaults(func=cmd_trace)

@@ -17,7 +17,6 @@ m - 1, whose columns cannot span the row space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import errors
-from .problem import Iterate, LinearProgram, in_neighborhood, residuals
+from .problem import Iterate, LinearProgram, in_neighborhood, nonsingular_bases, residuals
 
 __all__ = ["GeneratorSpec", "GeneratedInstance", "CertReport", "generate", "certify"]
 
@@ -283,12 +282,7 @@ def generate(spec: GeneratorSpec) -> GeneratedInstance:
 def _vertex_optimum(lp: LinearProgram) -> Optional[float]:
     """Brute-force optimal value over basic feasible solutions (tiny n only)."""
     best = None
-    scale = float(np.linalg.norm(lp.A, 2))
-    for cols in itertools.combinations(range(lp.n), lp.m):
-        A_B = lp.A[:, cols]
-        sv = np.linalg.svd(A_B, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(scale, 1.0):
-            continue
+    for cols, A_B in nonsingular_bases(lp.A):
         x_B = np.linalg.solve(A_B, lp.b)
         if x_B.min() >= -1e-9:
             value = float(lp.c[list(cols)] @ x_B)

@@ -62,6 +62,7 @@ __all__ = [
     "RefinementState",
     "ParameterCheck",
     "check_parameters",
+    "check_zeta_hat",
     "short_step",
     "if_ipm",
     "ir_if_ipm",
@@ -106,6 +107,13 @@ def check_parameters(n: int, theta: float, eta: float, beta: float) -> Parameter
         con2_lhs=con2_lhs,
         con2_rhs=con2_rhs,
     )
+
+
+def check_zeta_hat(zeta_hat: float) -> None:
+    """Raise :class:`~ifipm.errors.InvalidParameters` unless ``0 < zeta_hat < 1/2``,
+    the per-loop precision :func:`ir_if_ipm` accepts."""
+    if not 0.0 < zeta_hat < 0.5:
+        raise errors.InvalidParameters("zeta_hat must lie in (0, 1/2)")
 
 
 def short_step(n: int) -> float:
@@ -334,8 +342,7 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     """
     if not 0.0 < zeta < math.inf:
         raise errors.InvalidParameters("zeta must be positive and finite")
-    if not 0.0 < zeta_hat < 0.5:
-        raise errors.InvalidParameters("zeta_hat must lie in (0, 1/2)")
+    check_zeta_hat(zeta_hat)
     prep = preprocess(lp, basis)
     least = 1.8 * zeta_hat  # the least contraction of every loop after the first
 

@@ -33,7 +33,6 @@ them through :func:`assemble`, :func:`solve_target` and
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,7 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import errors
-from .problem import BasisFactors, Iterate, LinearProgram, PreprocessedProgram
+from .problem import (BASIS_TOL, BasisFactors, Iterate, LinearProgram,
+                      PreprocessedProgram, nonsingular_bases)
 from .solvers import Operator
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "ETA",
 ]
 
-MWB_TOL = 1e-10  # rank-acceptance threshold, relative to column norm
-
 #: the method's neighborhood radius and inexactness budget, fixed: with
 #: :func:`ifipm.ipm.short_step` they meet both conditions of
 #: :func:`ifipm.ipm.check_parameters` for every n >= 1
@@ -85,13 +83,6 @@ class SystemKind(enum.Enum):
     MNES = "mnes"
     OSS = "oss"
     PNES = "pnes"
-
-    @classmethod
-    def parse(cls, name: str) -> "SystemKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise errors.InputError(f"unknown system kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,6 @@ class Direction:
     ds: np.ndarray
     residual_hat: np.ndarray
     correction_v: np.ndarray
-    system: SystemKind
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,7 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, factors_for=None) -> list:
 
     Columns are visited in decreasing ratio order (ties broken by lower
     index) and accepted iff they increase the rank of the selection,
-    measured by the orthogonal remainder exceeding ``1e-10`` of the
+    measured by the orthogonal remainder exceeding ``BASIS_TOL`` of the
     column norm. Returns exactly m indices in acceptance order.
 
     ``factors_for``, a program's
@@ -228,7 +218,7 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, factors_for=None) -> list:
     order = np.lexsort((np.arange(n), -(it.x / it.s)))
     if factors_for is not None:
         try:
-            certified = 2.0 * MWB_TOL * factors_for(order[:m]).certificate < 1.0
+            certified = 2.0 * BASIS_TOL * factors_for(order[:m]).certificate < 1.0
         except errors.SingularBasis:
             certified = False
         if certified:
@@ -248,7 +238,7 @@ def select_basis_mwb(it: Iterate, A: np.ndarray, factors_for=None) -> list:
             W = W - Q_k @ (Q_k.T @ W)
             W = W - Q_k @ (Q_k.T @ W)
         Q_block, R = np.linalg.qr(W)
-        passed = np.abs(np.diag(R)) > MWB_TOL * norms[block]
+        passed = np.abs(np.diag(R)) > BASIS_TOL * norms[block]
         accepted = block.size if passed.all() else int(np.argmin(passed))
         Q[:, k:k + accepted] = Q_block[:, :accepted]
         chosen.extend(block[:accepted].tolist())
@@ -380,6 +370,8 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
         dx[B] = -A_hat_N @ dx[N]
         dx[B] -= A_B^{-1} @ (A @ dx)
 
+    ``v`` is zero on ``N`` and the fifth line sets ``dx[B]`` from
+    ``dx[N]`` alone, so ``- v`` never reaches the result; the code omits it.
     In exact arithmetic the last two lines change nothing:
     ``A_B^{-1} @ A @ dx = dx[B] + A_hat_N @ dx[N] = 0`` already
     holds. In floating point the formula's terms on ``B`` are orders of
@@ -403,11 +395,10 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     v = np.zeros(lp.n)
     v[B] = system.d_B * r_hat
     ds = -(lp.A.T @ dy)
-    dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
+    dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds
     dx[B] = -(factors.A_hat_N @ dx[N])
     dx[B] -= factors.inverse @ (lp.A @ dx)
-    return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v,
-                     system=system.kind)
+    return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r_hat, correction_v=v)
 
 
 def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram) -> float:
@@ -438,8 +429,7 @@ def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Ite
     v = lp.A.T @ u
     ds = -(lp.A.T @ dy)
     dx = system.beta * it.mu / it.s - it.x - (it.x / it.s) * ds - v
-    return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r, correction_v=v,
-                     system=SystemKind.NES)
+    return Direction(dx=dx, dy=dy, ds=ds, residual_hat=r, correction_v=v)
 
 
 def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Iterate,
@@ -458,8 +448,7 @@ def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Ite
     dx = prep.null_basis @ lam
     ds = -(lp.A.T @ dy)
     return Direction(dx=dx, dy=dy, ds=ds,
-                     residual_hat=np.zeros(m), correction_v=np.zeros(lp.n),
-                     system=SystemKind.OSS)
+                     residual_hat=np.zeros(m), correction_v=np.zeros(lp.n))
 
 
 def recover_direction_fns(system: AssembledSystem, solution: np.ndarray, it: Iterate,
@@ -467,8 +456,7 @@ def recover_direction_fns(system: AssembledSystem, solution: np.ndarray, it: Ite
     """Split a full-system solution vector into (dy, dx, ds)."""
     m, n = prep.base.m, prep.base.n
     return Direction(dx=solution[m:m + n], dy=solution[:m], ds=solution[m + n:],
-                     residual_hat=np.zeros(m), correction_v=np.zeros(n),
-                     system=SystemKind.FNS)
+                     residual_hat=np.zeros(m), correction_v=np.zeros(n))
 
 
 def recover_direction_as(system: AssembledSystem, solution: np.ndarray, it: Iterate,
@@ -478,7 +466,7 @@ def recover_direction_as(system: AssembledSystem, solution: np.ndarray, it: Iter
     dy, dx = solution[:m], solution[m:]
     ds = (system.beta * it.mu - it.x * it.s - it.s * dx) / it.x
     return Direction(dx=dx, dy=dy, ds=ds, residual_hat=np.zeros(m),
-                     correction_v=np.zeros(n), system=SystemKind.AS)
+                     correction_v=np.zeros(n))
 
 
 def _base_target(it, prep) -> float:
@@ -566,19 +554,11 @@ def chi_bar(A: np.ndarray) -> float:
     number of the basis-preconditioned normal matrix by its square.
     """
     A = np.asarray(A, dtype=float)
-    m, n = A.shape
+    n = A.shape[1]
     if n > 12:
         raise errors.TooLarge(f"basis enumeration limited to n <= 12, got n = {n}")
-    scale = float(np.linalg.norm(A, 2))
-    best = 0.0
-    found = False
-    for cols in itertools.combinations(range(n), m):
-        A_B = A[:, cols]
-        sv = np.linalg.svd(A_B, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(scale, 1.0):
-            continue
-        found = True
-        best = max(best, float(np.linalg.norm(np.linalg.solve(A_B, A), "fro")))
-    if not found:
+    norms = [float(np.linalg.norm(np.linalg.solve(A_B, A), "fro"))
+             for _, A_B in nonsingular_bases(A)]
+    if not norms:
         raise errors.RankDeficient("no nonsingular basis exists")
-    return best
+    return max(norms)

@@ -9,6 +9,7 @@ products on first use and keeps them, which changes no result.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -28,9 +29,10 @@ __all__ = [
     "residuals",
     "in_neighborhood",
     "preprocess",
+    "nonsingular_bases",
 ]
 
-#: pivot / identity-block tolerance used by preprocessing
+#: rank threshold of every basis test: preprocessing, MWB greedy, enumeration
 BASIS_TOL = 1e-10
 
 
@@ -156,8 +158,8 @@ class BasisFactors:
 class PreprocessedProgram:
     """A program together with a fixed basis and its derived products.
 
-    ``basis`` lists m column indices whose submatrix is invertible and
-    ``factors`` is its :class:`BasisFactors`, in that order. The cached
+    ``factors`` is the :class:`BasisFactors` record of m columns whose
+    submatrix is invertible; ``factors.index`` lists them. The cached
     properties are per-program constants that some Newton-system kinds
     need, each computed on first use. :meth:`factors_for` gives the
     record of any other basis and keeps the last one, so a program holds
@@ -166,7 +168,6 @@ class PreprocessedProgram:
     """
 
     base: LinearProgram
-    basis: tuple
     factors: BasisFactors
     _kept: Optional[BasisFactors] = field(default=None, init=False, repr=False)
 
@@ -270,7 +271,7 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     """Fix a basis and precompute its inverse products.
 
     With ``basis`` omitted, a basis is selected deterministically by
-    column-pivoted elimination (pivot threshold ``1e-10``). This is a
+    column-pivoted elimination (pivot threshold ``BASIS_TOL``). This is a
     one-time O(m^2 n) step; the result is reused for every normal-equation
     modification built from the program.
     """
@@ -284,4 +285,17 @@ def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
     if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
         raise errors.SingularBasis("supplied basis columns are linearly dependent")
-    return PreprocessedProgram(lp, tuple(basis), BasisFactors.of(lp.A, basis))
+    return PreprocessedProgram(lp, BasisFactors.of(lp.A, basis))
+
+
+def nonsingular_bases(A: np.ndarray):
+    """``(cols, A[:, cols])`` for each m-subset ``cols`` of columns, in
+    ``itertools.combinations`` order, whose smallest singular value exceeds
+    ``BASIS_TOL * max(||A||_2, 1)``. Enumeration: for tiny instances only."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    floor = BASIS_TOL * max(float(np.linalg.norm(A, 2)), 1.0)
+    for cols in itertools.combinations(range(n), m):
+        A_B = A[:, cols]
+        if np.linalg.svd(A_B, compute_uv=False)[-1] > floor:
+            yield cols, A_B

@@ -285,7 +285,9 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
       direction of the matrix, scaled so the residual equals the target
       (shaved by 1e-9 relative so the hard bound is never crossed).
 
-    The achieved residual never exceeds ``target_residual``.
+    The achieved residual never exceeds ``target_residual``: a target
+    the exact solve already misses raises
+    :class:`~ifipm.errors.SolverFailure`, however small.
     """
     _check_target(target_residual)
     if mode not in ("random", "adversarial"):
@@ -295,8 +297,6 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
     rhs = np.asarray(rhs, dtype=float)
     tol = target_residual
     exact = solve_exact(op, rhs)
-    if tol < 1e-15:
-        return _report(M, rhs, exact.solution, 1, f"oracle-{mode}-exact")
     r0 = rhs - M @ exact.solution
     base = float(np.linalg.norm(r0))
     if base > tol:

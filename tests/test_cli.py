@@ -19,6 +19,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """``run``'s exit code, argparse's usage errors (exit 2) included."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_generate_writes_valid_instance(tmp_path):
     out = tmp_path / "inst.json"
     assert run("generate", "--m", 3, "--n", 7, "--kappa", 10,
@@ -127,12 +135,95 @@ def test_malformed_basis_is_input_error(tmp_path, basis):
 ], ids=["nan", "inf", "nan-refined", "inf-refined", "zeta-hat-half", "zeta-hat-0.7"])
 def test_run_parameters_out_of_domain_are_input_errors(tmp_path, flags):
     # a nan or inf zeta once exited 0 as "solved" (or died in a traceback),
-    # and zeta_hat 0.7 exhausted a 64-loop budget with exit 1
+    # and zeta_hat 0.7 exhausted a 64-loop budget with exit 1; batch once
+    # exited 0 with every row failed, and trace took --zeta-hat unread
+    # (it has no such flag now)
     inst = tmp_path / "inst.json"
     run("generate", "--m", 3, "--n", 8, "--seed", 3, "--out", inst)
-    out = tmp_path / "s.json"
-    assert run("solve", "--instance", inst, *flags, "--out", out) == 2
+    for command in ("solve", "batch", "trace"):
+        out = tmp_path / f"{command}.out"
+        assert exit_code(command, "--instance", inst, *flags, "--out", out) == 2, command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--zeta", "nan"],
+    ["--zeta-hat", 0.7],
+    ["--kappa", "inf"],
+    ["--m", 0],
+], ids=["zeta-nan", "zeta-hat-0.7", "kappa-inf", "m-0"])
+def test_batch_rejects_bad_flags_before_any_instance(tmp_path, monkeypatch, flags):
+    from ifipm import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was obtained")
+
+    monkeypatch.setattr(cli, "_obtain_instance", forbidden)
+    out = tmp_path / "batch.csv"
+    assert run("batch", "--m", 3, "--n", 7, "--count", 1, "--zeta", 1e-3,
+               *flags, "--out", out) == 2
     assert not out.exists()
+
+
+TINY = {"m": 1, "n": 2, "A": [[1.0, 1.0]], "b": [1.0], "c": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1.0, 2.0], "expected a JSON object"),
+    ({"m": 1, "n": 2, "b": [1.0], "c": [1.0, 1.0]}, "missing or malformed A/b/c"),
+    ({**TINY, "A": [[1.0, "x"]]}, "missing or malformed A/b/c"),
+    ({**TINY, "A": [1.0, 1.0]}, "A must be a 2-d array"),
+    ({**TINY, "m": 2}, "declared m=2"),
+    ({**TINY, "n": 3}, "declared n=3"),
+    ({**TINY, "interior": {"x": [1.0, 1.0], "s": [1.0, 1.0]}},
+     "malformed 'interior' block"),
+    ({**TINY, "optimal": [1.0]}, "malformed 'optimal' block"),
+    ({**TINY, "partition": {"B": [0]}}, "malformed partition block"),
+], ids=["not-object", "no-A", "A-not-numeric", "A-1d", "m-mismatch", "n-mismatch",
+        "interior-no-y", "optimal-not-object", "partition-no-N"])
+def test_malformed_instance_file_is_input_error(tmp_path, payload, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(errors.InputError, match=message):
+        load_instance(path)
+
+
+def test_instance_without_interior_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 2, "--n", 4, "--seed", 30, "--out", inst)
+    payload = json.loads(inst.read_text())
+    del payload["interior"]
+    inst.write_text(json.dumps(payload))
+    assert run("solve", "--instance", inst, "--out", tmp_path / "s.json") == 2
+    assert "no 'interior' start" in capsys.readouterr().err
+
+
+def test_solver_table_builds_each_handle():
+    from ifipm import cli
+    from ifipm.solvers import CgSolver, ExactSolver, OracleSolver, PcgSolver, RefiningSolver
+
+    expected = {
+        "exact": ExactSolver(), "cg": CgSolver(), "pcg": PcgSolver(),
+        "oracle": OracleSolver(seed=7),
+        "refine": RefiningSolver(inner=OracleSolver(seed=7), eps_inner=1e-1),
+    }
+    parser = cli.build_parser()
+    for name, handle in expected.items():
+        args = parser.parse_args(["solve", "--instance", "i.json", "--solver", name,
+                                  "--seed", "7", "--out", "s.json"])
+        assert cli._solver_from_args(args) == handle
+
+
+@pytest.mark.parametrize("solver", ["pcg", "refine"])
+def test_solve_with_pcg_and_refine_handles(tmp_path, solver):
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 3, "--n", 7, "--seed", 2, "--out", inst)
+    out = tmp_path / "sol.json"
+    assert run("solve", "--instance", inst, "--system", "pnes", "--solver", solver,
+               "--zeta", 1e-5, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert payload["solver"] == solver and payload["system"] == "pnes"
+    assert payload["mu"] <= 1e-5
 
 
 def test_solve_rejects_two_instances(tmp_path):

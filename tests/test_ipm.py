@@ -24,7 +24,8 @@ from ifipm import (
 )
 from ifipm.ipm import FEAS_RTOL
 from ifipm.newton import ETA, THETA
-from ifipm.solvers import ExactSolver, OracleSolver, RefiningSolver
+from ifipm.problem import BASIS_TOL
+from ifipm.solvers import CgSolver, ExactSolver, OracleSolver, RefiningSolver
 
 
 def test_check_parameters_beta_one_fails():
@@ -440,6 +441,15 @@ def test_refinement_raises_carry_partial_state(failure, monkeypatch):
         assert info.value.iterate is runs[0][0]
 
 
+def test_refinement_first_loop_failure_names_loop_1():
+    # CG cannot solve the nonsymmetric orthogonal-subspaces system, so the
+    # very first inner loop raises
+    inst = generate(GeneratorSpec(m=3, n=6, seed=4))
+    params = IpmParams(system=SystemKind.OSS, solver=CgSolver())
+    with pytest.raises(errors.NotSPD, match="^loop 1: "):
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=params)
+
+
 def test_refinement_scale_equivalence():
     # iterates of the scaled run are exactly the scale times the
     # iterates of the unscaled run, and neighborhood membership matches
@@ -452,7 +462,7 @@ def test_refinement_scale_equivalence():
         pass
 
     def run(program, start, steps):
-        prep = preprocess(program, basis=preprocess(lp).basis)
+        prep = preprocess(program, basis=preprocess(lp).factors.index)
         captured = []
 
         def observer(k, it, sy, d, new):
@@ -515,7 +525,7 @@ def test_pnes_inverts_once_per_basis_set(monkeypatch):
     monkeypatch.setattr(newton, "select_basis_mwb", counted_select)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     _, trace = if_ipm(prep, inst.start, IpmParams(zeta=1e-3, system=SystemKind.PNES))
-    fixed = frozenset(prep.basis)
+    fixed = frozenset(prep.factors.index)
     changes = sum(1 for k, basis in enumerate(sets)
                   if basis != fixed and (k == 0 or basis != sets[k - 1]))
     assert len(sets) == len(trace.records)
@@ -541,11 +551,12 @@ def test_pnes_skips_the_qr_on_certified_sets(monkeypatch):
         m, n = A.shape
         top = np.sort(np.lexsort((np.arange(n), -(it.x / it.s)))[:m])
         try:
-            certified = 2.0 * newton.MWB_TOL * BasisFactors.of(A, top).certificate < 1.0
+            certified = 2.0 * BASIS_TOL * BasisFactors.of(A, top).certificate < 1.0
         except errors.SingularBasis:
             certified = False
         # the program holds its own set and the one selected last
-        new = frozenset(top.tolist()) not in {frozenset(prep.basis), *selected[-1:]}
+        held = {frozenset(prep.factors.index), *selected[-1:]}
+        new = frozenset(top.tolist()) not in held
         before = len(qrs)
         basis = select(it, A, factors_for)
         calls.append((certified, new, len(qrs) - before))

@@ -232,14 +232,14 @@ def test_pnes_assembly_independent_of_kept_factors(central_instance):
     # so a warm and a cold assembly agree bit for bit
     lp = central_instance.lp
     prep = preprocess(lp)
-    chosen = [j for j in range(lp.n) if j not in prep.basis][:lp.m]
+    chosen = [j for j in range(lp.n) if j not in prep.factors.index][:lp.m]
     x = np.ones(lp.n)
     x[chosen] = 2.0 + np.arange(lp.m)
     it = Iterate(x, np.zeros(lp.m), np.ones(lp.n))
     x_other = x.copy()
     x_other[chosen] = x[chosen][::-1]  # same basis set, other acceptance order
     other = Iterate(x_other, np.zeros(lp.m), np.ones(lp.n))
-    assert set(select_basis_mwb(it, lp.A)) == set(chosen) != set(prep.basis)
+    assert set(select_basis_mwb(it, lp.A)) == set(chosen) != set(prep.factors.index)
     assert select_basis_mwb(it, lp.A) != select_basis_mwb(other, lp.A)
 
     cold = assemble(SystemKind.PNES, it, preprocess(lp), beta=0.9)
@@ -257,7 +257,7 @@ def test_assemblies_share_one_basis_record(central_instance):
     lp = central_instance.lp
     prep = preprocess(lp)
     assert assemble(SystemKind.MNES, central_instance.start, prep, 0.9).basis is prep.factors
-    chosen = [j for j in range(lp.n) if j not in prep.basis][:lp.m]
+    chosen = [j for j in range(lp.n) if j not in prep.factors.index][:lp.m]
     systems = []
     for lead in (chosen, chosen[::-1]):
         x = np.ones(lp.n)
@@ -393,16 +393,17 @@ def test_nonbasic_block_matches_full_width_reference(index, path, log_mu, log_re
     rng = np.random.default_rng(seed)
     x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
     if path != "mnes":
-        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.factors.nonbasic))]
+        lead = (list(prep.factors.index) if path == "pnes-kept"
+                else [int(rng.choice(prep.factors.nonbasic))])
         x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
     it = Iterate(x, y, s)
     beta = 0.9
     kind = SystemKind.MNES if path == "mnes" else SystemKind.PNES
     sys = assemble(kind, it, prep, beta)
-    basis = list(prep.basis)
+    basis = list(prep.factors.index)
     if path == "pnes-changed":
         basis = sorted(select_basis_mwb(it, lp.A))
-        assert set(basis) != set(prep.basis)
+        assert set(basis) != set(prep.factors.index)
     assert sys.basis.index.tolist() == basis
 
     eps = np.finfo(float).eps
@@ -449,11 +450,13 @@ def test_basis_scaled_matvec_matches_matrix(index, path, log_mu, log_spread, log
     rng = np.random.default_rng(seed)
     x, y, s = _spread_iterate(rng, lp, log_mu, log_spread)
     if path != "mnes":
-        lead = list(prep.basis) if path == "pnes-kept" else [int(rng.choice(prep.factors.nonbasic))]
+        lead = (list(prep.factors.index) if path == "pnes-kept"
+                else [int(rng.choice(prep.factors.nonbasic))])
         x[lead] = s[lead] * (x / s).max() * rng.uniform(10.0, 20.0, len(lead))
     it = Iterate(x, y, s)
     sys = assemble(SystemKind.MNES if path == "mnes" else SystemKind.PNES, it, prep, 0.9)
-    assert (set(sys.basis.index.tolist()) == set(prep.basis)) == (path != "pnes-changed")
+    kept = set(sys.basis.index.tolist()) == set(prep.factors.index)
+    assert kept == (path != "pnes-changed")
     z = 10.0 ** log_z * rng.standard_normal(lp.m)
     terms = np.abs(z) + np.abs(sys.E_N) @ (np.abs(sys.E_N).T @ np.abs(z))
     tol = lp.n * np.finfo(float).eps
@@ -516,7 +519,7 @@ def test_residual_correction_bound(central_instance):
         sv = np.linalg.norm(it.s * direction.correction_v, np.inf)
         assert sv <= eta * it.mu * (1 + 1e-9)
         # the correction lives on the basis positions only
-        off_basis = np.setdiff1d(np.arange(lp.n), prep.basis)
+        off_basis = np.setdiff1d(np.arange(lp.n), prep.factors.index)
         assert np.all(direction.correction_v[off_basis] == 0.0)
 
 
@@ -764,7 +767,7 @@ def test_kept_basis_factors_are_thread_safe(central_instance):
         x[shift:shift + lp.m] = 2.0
         iterates.append(Iterate(x, np.zeros(lp.m), np.ones(lp.n)))
     sets = {frozenset(select_basis_mwb(it, lp.A)) for it in iterates}
-    assert len(sets) == 2 and frozenset(prep.basis) not in sets
+    assert len(sets) == 2 and frozenset(prep.factors.index) not in sets
     cold = [assemble(SystemKind.PNES, it, preprocess(lp), 0.9) for it in iterates]
 
     def build(k):
@@ -790,11 +793,11 @@ def test_mnes_equals_pnes_on_matching_basis(central_instance):
     prep = preprocess(lp)
     x = np.ones(lp.n)
     s = np.ones(lp.n)
-    x[list(prep.basis)] = 2.0  # ratios favor exactly the fixed basis
+    x[list(prep.factors.index)] = 2.0  # ratios favor exactly the fixed basis
     it = Iterate(x, np.zeros(lp.m), s)
-    assert sorted(select_basis_mwb(it, lp.A)) == sorted(prep.basis)
+    assert sorted(select_basis_mwb(it, lp.A)) == sorted(prep.factors.index)
     mnes = assemble(SystemKind.MNES, it, prep, beta=0.9)
     pnes = assemble(SystemKind.PNES, it, prep, beta=0.9)
-    perm = [list(pnes.basis.index).index(j) for j in prep.basis]
+    perm = [list(pnes.basis.index).index(j) for j in prep.factors.index]
     np.testing.assert_allclose(pnes.matrix[np.ix_(perm, perm)], mnes.matrix,
                                atol=1e-10)

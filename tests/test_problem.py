@@ -122,7 +122,7 @@ def test_preprocess_identity_block_postcondition():
     prep = preprocess(lp)
     # the identity block is implied by storage; the stored nonbasic block
     # must reproduce the nonbasic columns through the basis
-    A_B, A_N = lp.A[:, list(prep.basis)], lp.A[:, prep.factors.nonbasic]
+    A_B, A_N = lp.A[:, list(prep.factors.index)], lp.A[:, prep.factors.nonbasic]
     np.testing.assert_allclose(A_B @ prep.factors.A_hat_N, A_N, atol=1e-10)
 
 
@@ -131,5 +131,5 @@ def test_preprocess_idempotent_in_effect():
     lp = LinearProgram(rng.standard_normal((4, 9)), rng.standard_normal(4),
                        rng.standard_normal(9))
     prep = preprocess(lp)
-    again = preprocess(lp, basis=prep.basis)
+    again = preprocess(lp, basis=prep.factors.index)
     np.testing.assert_allclose(again.factors.A_hat_N, prep.factors.A_hat_N, atol=1e-12)

@@ -75,6 +75,13 @@ def test_cg_nonsymmetric_raises():
         solve_cg(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 1e-8)
 
 
+def test_cg_returns_zero_when_it_meets_the_target():
+    b = np.array([3.0, 4.0])
+    rep = solve_cg(np.eye(2), b, 5.0)
+    assert rep.iterations == 0 and rep.achieved_residual == 5.0
+    np.testing.assert_array_equal(rep.solution, np.zeros(2))
+
+
 def test_cg_budget_returns_best_iterate():
     rng = np.random.default_rng(2)
     M = random_spd(rng, 40, spread=1e4)
@@ -129,13 +136,14 @@ def test_oracle_random_residual_window():
         assert 5e-4 <= rep.achieved_residual <= 1e-3
 
 
-def test_oracle_tiny_target_degenerates_to_exact():
+def test_oracle_tiny_target_the_exact_solve_misses_raises():
+    # a target below 1e-15 once returned the exact solve, met or not
     rng = np.random.default_rng(5)
-    M = random_spd(rng, 8)
-    b = rng.standard_normal(8)
-    rep = inexact_oracle(M, b, 1e-16, seed=0)
-    exact = solve_exact(M, b)
-    np.testing.assert_array_equal(rep.solution, exact.solution)
+    M = random_spd(rng, 30)
+    b = rng.standard_normal(30)
+    assert np.linalg.norm(b - M @ solve_exact(M, b).solution) > 1e-16
+    with pytest.raises(errors.SolverFailure):
+        inexact_oracle(M, b, 1e-16, seed=0)
 
 
 def test_oracle_adversarial_hits_target_exactly():
@@ -185,6 +193,26 @@ def test_refine_identity_single_loop():
     rep = refine_linear(ExactSolver(), np.eye(3), np.ones(3), 1e-10, 0.5)
     assert rep.iterations == 1
     np.testing.assert_allclose(rep.solution, np.ones(3), atol=1e-12)
+
+
+def test_refine_zero_loops_when_zero_meets_target():
+    b = np.array([3.0, 4.0])
+    rep = refine_linear(ExactSolver(), np.eye(2), b, 5.0, 0.5)
+    assert rep.iterations == 0 and rep.achieved_residual == 5.0
+    np.testing.assert_array_equal(rep.solution, np.zeros(2))
+
+
+def test_refine_loop_cap_raises_stalled():
+    from ifipm.solvers import SolveReport
+
+    # contracts by 0.35 per loop: never slower than the stall factor 0.4 of
+    # eps_inner 0.1, but 14 loops are needed and the cap allows 6 + 2
+    def slow(matrix, rhs, target):
+        return SolveReport(solution=0.65 * rhs, achieved_residual=0.35 * np.linalg.norm(rhs),
+                           iterations=1, method="slow")
+
+    with pytest.raises(errors.Stalled, match="within 8 refinement loops"):
+        refine_linear(slow, np.eye(4), np.full(4, 0.5), 1e-6, 0.1)
 
 
 def test_refine_loop_count_bound():
