@@ -217,7 +217,8 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
     :class:`~ifipm.errors.MaxIterations`) and those raised inside
     assembly, the solver or recovery. The solver is called as
     ``params.solver(system, system.rhs, target)`` with the
-    :class:`~ifipm.newton.AssembledSystem` as its operator.
+    :class:`~ifipm.newton.AssembledSystem` as its operator; the report's
+    ``residual`` vector, when it carries one, is what recovery absorbs.
     ``observer(k, iterate, system, direction, new_iterate)`` is invoked
     after each accepted step.
 
@@ -250,11 +251,14 @@ def if_ipm(prep: PreprocessedProgram, start: Iterate, params: IpmParams,
             system = assemble(params.system, it, prep, beta)
             target = solve_target(params.system, it, prep)
             report = params.solver(system, system.rhs, target)
-            if not report.converged or report.achieved_residual > target * (1.0 + 1e-9):
+            # written so that a NaN residual fails it too
+            if not (report.converged
+                    and report.achieved_residual <= target * (1.0 + 1e-9)):
                 raise errors.SolverFailure(
                     f"iteration {k}: residual {report.achieved_residual:.3e} "
                     f"misses target {target:.3e} ({report.method})")
-            direction = recover_direction(system, report.solution, it, prep)
+            direction = recover_direction(system, report.solution, it, prep,
+                                          residual=report.residual)
             new_it = Iterate(it.x + direction.dx, it.y + direction.dy,
                              it.s + direction.ds)
             r_new = residuals(lp, new_it)

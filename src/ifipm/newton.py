@@ -92,8 +92,8 @@ class Formulation:
     :data:`FORMULATIONS` holds one record per kind.
     ``build(kind, it, prep, beta)`` assembles the system,
     ``target(it, prep)`` is the absolute residual its solve must meet,
-    and ``recover(system, solution, it, prep)`` turns that solve into a
-    :class:`Direction`. The entries call
+    and ``recover(system, solution, it, prep, residual)`` turns that
+    solve into a :class:`Direction`. The entries call
     ``_basis_products``, :func:`select_basis_mwb` and the
     ``recover_direction_*`` functions by module-global name at call time,
     so a replaced module attribute is the one that runs.
@@ -347,21 +347,36 @@ def solve_target(kind: SystemKind, it: Iterate, prep: PreprocessedProgram) -> fl
 
 
 def recover_direction(system: AssembledSystem, solution: np.ndarray, it: Iterate,
-                      prep: PreprocessedProgram) -> Direction:
+                      prep: PreprocessedProgram,
+                      residual: Optional[np.ndarray] = None) -> Direction:
     """Direction from an assembly and a solve of it, by the kind's recovery.
 
-    Every ``recover_direction_*`` takes these same arguments and reads the
-    solve's residual, where it needs one, off ``system``.
+    Every ``recover_direction_*`` takes these same arguments. ``residual``
+    is the solve's ``system.rhs - system.matvec(solution)``, as a
+    :class:`~ifipm.solvers.SolveReport` carries it; the recoveries that
+    need it (MNES/PNES and NES) apply ``system`` to ``solution`` to get
+    it when it is None, and the others ignore it.
     """
-    return FORMULATIONS[system.kind].recover(system, solution, it, prep)
+    return FORMULATIONS[system.kind].recover(system, solution, it, prep, residual)
+
+
+def _residual_hat(system: AssembledSystem, solution: np.ndarray,
+                  residual: Optional[np.ndarray]) -> np.ndarray:
+    # matvec(solution) - rhs; negating the solver's rhs - matvec(solution)
+    # gives the same bits
+    if residual is None:
+        return system.matvec(solution) - system.rhs
+    return -residual
 
 
 def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
-                                   it: Iterate, prep: PreprocessedProgram) -> Direction:
+                                   it: Iterate, prep: PreprocessedProgram,
+                                   residual: Optional[np.ndarray] = None) -> Direction:
     """Direction from an MNES/PNES assembly and a solve of it.
 
-    With ``r_hat = system.matvec(z_tilde) - system.rhs`` and ``B``/``N``
-    the basis and nonbasic positions of ``system.basis``, the recovery is
+    With ``r_hat = system.matvec(z_tilde) - system.rhs`` (``-residual``
+    when given) and ``B``/``N`` the basis and nonbasic positions of
+    ``system.basis``, the recovery is
 
         dy    = (A_B^{-1})^T (z_tilde / d_B)
         v     = (d_B * r_hat) on B, 0 on N
@@ -388,7 +403,7 @@ def recover_direction_basis_scaled(system: AssembledSystem, z_tilde: np.ndarray,
     optimal face.)
     """
     lp = prep.base
-    r_hat = system.matvec(z_tilde) - system.rhs
+    r_hat = _residual_hat(system, z_tilde, residual)
     factors = system.basis
     B, N = factors.index, factors.nonbasic
     dy = factors.inverse.T @ (z_tilde / system.d_B)
@@ -414,17 +429,18 @@ def proc_a_residual_bound(it: Iterate, prep: PreprocessedProgram) -> float:
 
 
 def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Iterate,
-                                prep: PreprocessedProgram) -> Direction:
+                                prep: PreprocessedProgram,
+                                residual: Optional[np.ndarray] = None) -> Direction:
     """Direction from an inexact plain normal-equation solve.
 
     The primal drift ``A dx = r``, with ``r = system.matvec(dy) -
-    system.rhs``, is repaired with the dense minimum-norm correction
-    ``v = A^T (A A^T)^{-1} r``.
+    system.rhs`` (``-residual`` when given), is repaired with the dense
+    minimum-norm correction ``v = A^T (A A^T)^{-1} r``.
     """
     from .solvers import solve_exact
 
     lp = prep.base
-    r = system.matvec(dy) - system.rhs
+    r = _residual_hat(system, dy, residual)
     u = solve_exact(prep.gram, r).solution
     v = lp.A.T @ u
     ds = -(lp.A.T @ dy)
@@ -433,7 +449,7 @@ def recover_direction_nes_procA(system: AssembledSystem, dy: np.ndarray, it: Ite
 
 
 def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Iterate,
-                          prep: PreprocessedProgram) -> Direction:
+                          prep: PreprocessedProgram, residual=None) -> Direction:
     """Direction from the orthogonal-subspaces formulation.
 
     The solution stacks ``(dy, lam)``. ``dx = V lam``, with ``V`` the
@@ -452,7 +468,7 @@ def recover_direction_oss(system: AssembledSystem, solution: np.ndarray, it: Ite
 
 
 def recover_direction_fns(system: AssembledSystem, solution: np.ndarray, it: Iterate,
-                          prep: PreprocessedProgram) -> Direction:
+                          prep: PreprocessedProgram, residual=None) -> Direction:
     """Split a full-system solution vector into (dy, dx, ds)."""
     m, n = prep.base.m, prep.base.n
     return Direction(dx=solution[m:m + n], dy=solution[:m], ds=solution[m + n:],
@@ -460,7 +476,7 @@ def recover_direction_fns(system: AssembledSystem, solution: np.ndarray, it: Ite
 
 
 def recover_direction_as(system: AssembledSystem, solution: np.ndarray, it: Iterate,
-                         prep: PreprocessedProgram) -> Direction:
+                         prep: PreprocessedProgram, residual=None) -> Direction:
     """Recover ds from an augmented-system solution via the centering row."""
     m, n = prep.base.m, prep.base.n
     dy, dx = solution[:m], solution[m:]

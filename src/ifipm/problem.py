@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .solvers import Operator
+from .solvers import Operator, _norm
 
 __all__ = [
     "LinearProgram",
@@ -234,8 +234,8 @@ def residuals(lp: LinearProgram, it: Iterate) -> ResidualReport:
         raise errors.DimensionMismatch("iterate does not match program dimensions")
     gap = float(it.x @ it.s)
     return ResidualReport(
-        primal_inf=float(np.linalg.norm(lp.A @ it.x - lp.b, np.inf)),
-        dual_inf=float(np.linalg.norm(lp.A.T @ it.y + it.s - lp.c, np.inf)),
+        primal_inf=float(np.abs(lp.A @ it.x - lp.b).max()),
+        dual_inf=float(np.abs(lp.A.T @ it.y + it.s - lp.c).max()),
         gap=gap,
         mu=gap / lp.n,
     )
@@ -254,7 +254,7 @@ def in_neighborhood(it: Iterate, theta: float) -> bool:
         return False
     products = it.x * it.s
     mu = it.mu
-    return bool(np.linalg.norm(products - mu) <= theta * mu)
+    return bool(_norm(products - mu) <= theta * mu)
 
 
 def _auto_basis(A: np.ndarray) -> list:

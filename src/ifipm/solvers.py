@@ -7,15 +7,18 @@ loop passes, whose ``matvec``, flags and kept factorization are used,
 or a bare matrix, which each routine wraps once and passes on. Every
 one returns a :class:`SolveReport` whose ``achieved_residual``, a 2-norm, is
 recomputed from the returned solution, never taken from the method's
-internal recurrence. The :func:`inexact_oracle` emulates a bounded-error
-solver: it never exceeds its residual target, which is the only property
-the interior point loop relies on. :func:`refine_linear` wraps any
-low-precision solver in a residual-correction loop.
+internal recurrence; all but the oracle also return that residual vector.
+A right-hand side holding NaN or Inf raises
+:class:`~ifipm.errors.NonFinite`. The :func:`inexact_oracle` emulates a
+bounded-error solver: it never exceeds its residual target, which is the
+only property the interior point loop relies on. :func:`refine_linear`
+wraps any low-precision solver in a residual-correction loop.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,13 +55,19 @@ def _check_target(target_residual: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solution plus its independently recomputed 2-norm residual."""
+    """Solution plus its independently recomputed 2-norm residual.
+
+    ``residual``, when given, is the vector ``rhs - matvec(solution)``
+    whose norm ``achieved_residual`` is; a recovery that needs it takes
+    it from here instead of applying the operator again.
+    """
 
     solution: np.ndarray
     achieved_residual: float
     iterations: int
     method: str
     converged: bool = True
+    residual: Optional[np.ndarray] = None
 
 
 def _norm(v: np.ndarray) -> float:
@@ -67,14 +76,23 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _rhs_norm(rhs: np.ndarray) -> float:
+    """:func:`_norm` of a right-hand side, which must hold no NaN or Inf."""
+    rn = _norm(rhs)
+    if not math.isfinite(rn) and not np.isfinite(rhs).all():
+        raise errors.NonFinite("right-hand side contains NaN or Inf")
+    return rn
+
+
 def _report(matrix, rhs, solution, iterations, method, converged=True):
-    residual = _norm(rhs - _operator(matrix).matvec(solution))
+    residual = rhs - _operator(matrix).matvec(solution)
     return SolveReport(
         solution=solution,
-        achieved_residual=residual,
+        achieved_residual=_norm(residual),
         iterations=iterations,
         method=method,
         converged=converged,
+        residual=residual,
     )
 
 
@@ -193,28 +211,27 @@ def solve_exact(matrix, rhs: np.ndarray) -> SolveReport:
     """
     op = _operator(matrix)
     r0 = np.asarray(rhs, dtype=float)
+    r0_norm = _rhs_norm(r0)
     factor = op.factorization
     z = factor.solve(r0)
     if not np.isfinite(z).all():
         raise errors.SingularMatrix("factorization produced non-finite solution")
-    r0_norm = float(np.linalg.norm(r0))
     tol = EXACT_RTOL * (1.0 + r0_norm)
     residual = r0 - op.matvec(z)
     rn = _norm(residual)  # the residual norm of z, as _report takes it
     for _ in range(5):
         if rn <= tol:
             break
-        d = factor.solve(residual)
-        z_new = z + d
-        residual = r0 - op.matvec(z_new)
-        rn_new = _norm(residual)
+        z_new = z + factor.solve(residual)
+        residual_new = r0 - op.matvec(z_new)
+        rn_new = _norm(residual_new)
         if rn_new >= rn:
             break  # refinement saturated, keep the better iterate
-        z, rn = z_new, rn_new
+        z, residual, rn = z_new, residual_new, rn_new
     if rn > 0.5 * (1.0 + r0_norm):
         raise errors.SingularMatrix("matrix is numerically singular")
     return SolveReport(solution=z, achieved_residual=rn, iterations=1,
-                       method=factor.method)
+                       method=factor.method, residual=residual)
 
 
 def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
@@ -242,7 +259,7 @@ def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
 
     z = np.zeros(n)
     r = rhs.copy()
-    best_z, best_rn = z.copy(), _norm(r)
+    best_z, best_rn = z.copy(), _rhs_norm(r)
     if best_rn <= target_residual:
         return _report(op, rhs, z, 0, method)
     w = precondition(r) if precondition is not None else r
@@ -269,6 +286,30 @@ def solve_cg(matrix, rhs: np.ndarray, target_residual: float,
     return _report(op, rhs, best_z, iterations, method, converged=False)
 
 
+_STREAMS = threading.local()  # each thread's PCG64 and its base state
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """This thread's generator at the start of ``seed``'s substream.
+
+    One ``PCG64`` per thread, seeded once, is reset to its base state and
+    jumped ahead by ``seed * 2**64`` draws, so every seed below ``2**64``
+    owns a disjoint substream of ``2**64`` draws and what is drawn from it
+    depends on ``seed`` alone, not on earlier calls or other threads.
+    A jump costs a fraction of seeding a new generator.
+    """
+    if not 0 <= seed < 2**64:
+        raise errors.InvalidParameters("oracle seed must lie in [0, 2**64)")
+    gen = getattr(_STREAMS, "gen", None)
+    if gen is None:
+        gen = _STREAMS.gen = np.random.Generator(np.random.PCG64(0))
+        _STREAMS.base = gen.bit_generator.state
+    bits = gen.bit_generator
+    bits.state = _STREAMS.base
+    bits.advance(int(seed) << 64)
+    return gen
+
+
 def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
                    mode: str = "random", seed: Optional[int] = None) -> SolveReport:
     """Bounded-residual solver emulating an inexact linear-system oracle.
@@ -278,16 +319,19 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
     injects a controlled perturbation, working on the dense
     ``matrix``:
 
-    * ``random`` — a direction drawn from ``seed`` (``None``: 0), scaled
-      so that the perturbation's own residual is ``uniform(0.5, 0.98) *
-      target_residual``;
+    * ``random`` — a standard normal direction drawn from ``seed``'s own
+      substream (``None``: 0) of a per-thread ``PCG64``, scaled so that
+      the perturbation's own residual is ``uniform(0.5, 0.98) *
+      target_residual``, the factor drawn next;
     * ``adversarial`` — the error aligned with the smallest singular
       direction of the matrix, scaled so the residual equals the target
       (shaved by 1e-9 relative so the hard bound is never crossed).
 
     The achieved residual never exceeds ``target_residual``: a target
     the exact solve already misses raises
-    :class:`~ifipm.errors.SolverFailure`, however small.
+    :class:`~ifipm.errors.SolverFailure`, however small. The report
+    carries no ``residual`` vector: the oracle measures ``rhs - M @ z``
+    with the dense ``M``, not with ``matvec``.
     """
     _check_target(target_residual)
     if mode not in ("random", "adversarial"):
@@ -298,19 +342,19 @@ def inexact_oracle(matrix, rhs: np.ndarray, target_residual: float,
     tol = target_residual
     exact = solve_exact(op, rhs)
     r0 = rhs - M @ exact.solution
-    base = float(np.linalg.norm(r0))
+    base = _norm(r0)
     if base > tol:
         raise errors.SolverFailure(
             f"residual target {tol:g} unreachable (exact solve leaves {base:g})"
         )
 
     if mode == "random":
-        rng = np.random.default_rng(0 if seed is None else seed)
+        rng = _stream(0 if seed is None else seed)
         u = rng.standard_normal(rhs.shape[0])
-        wn = float(np.linalg.norm(M @ u))
+        wn = _norm(M @ u)
         if wn == 0.0:
             raise errors.SingularMatrix("random direction annihilated by matrix")
-        t = rng.uniform(0.5, 0.98) * tol
+        t = (0.5 + 0.48 * rng.random()) * tol  # uniform(0.5, 0.98)
         delta = (t / wn) * u
     else:
         _, sig, Vt = np.linalg.svd(M)
@@ -352,7 +396,8 @@ def refine_linear(
     ``inner`` receives ``matrix`` as an :class:`Operator`, a bare matrix
     wrapped once, so its symmetry probe and an exact inner solve's
     factorization are kept across loops. The reported residual is the
-    loop's own ``||rhs - M z||`` of the returned ``z``, not recomputed.
+    loop's own ``rhs - M z`` of the returned ``z``, with its norm, not
+    recomputed.
     """
     if not 0.0 < eps_inner < 1.0:
         raise errors.InvalidParameters("eps_inner must lie in (0, 1)")
@@ -362,9 +407,10 @@ def refine_linear(
     b = np.asarray(rhs, dtype=float)
     z = np.zeros(b.shape[0])
     r = b.copy()
-    rn = _norm(r)
+    rn = _rhs_norm(r)
     if rn <= eps_outer:
-        return SolveReport(solution=z, achieved_residual=rn, iterations=0, method="refine")
+        return SolveReport(solution=z, achieved_residual=rn, iterations=0,
+                           method="refine", residual=r)
     cap = math.ceil(math.log(eps_outer / rn) / math.log(eps_inner)) + 2
     stall_factor = (eps_inner + 0.5) / 1.5
     consecutive_slow = 0
@@ -386,7 +432,8 @@ def refine_linear(
         else:
             consecutive_slow = 0
         rn = new_rn
-    return SolveReport(solution=z, achieved_residual=rn, iterations=loops, method="refine")
+    return SolveReport(solution=z, achieved_residual=rn, iterations=loops,
+                       method="refine", residual=r)
 
 
 # --- stateless solver handles -------------------------------------------

@@ -166,9 +166,9 @@ def test_loop_failures_carry_partial_trace(failure, records, message, monkeypatc
         report = solver(matrix, rhs, target)
         return dc_replace(report, converged=False) if len(calls) == 4 else report
 
-    def failing_recover(system, solution, it, prep):
+    def failing_recover(system, solution, it, prep, residual=None):
         calls.append(1)
-        direction = recover(system, solution, it, prep)
+        direction = recover(system, solution, it, prep, residual=residual)
         if len(calls) != 4:
             return direction
         if failure == "neighborhood":  # halve half of x: off-center
@@ -205,11 +205,11 @@ def test_errors_raised_inside_a_step_carry_partial_trace(where, monkeypatch):
               "recovery": errors.SingularMatrix}[where]
 
     def failing(original):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(1)
             if len(calls) == 4:
                 raise raised("injected")
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapped
 
     kind = {"solver": SystemKind.MNES, "assembly": SystemKind.PNES,
@@ -255,6 +255,104 @@ def test_exact_basis_scaled_step_one_syrk_one_potrf(kind, monkeypatch):
                       IpmParams(zeta=1e-4, system=kind, solver=ExactSolver()))
     assert len(trace.records) > 10
     assert counts == {"dsyrk": len(trace.records), "dpotrf": len(trace.records)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_residual_is_a_solver_failure(bad):
+    # a nan residual once passed the check "residual > target" unnoticed
+    from dataclasses import replace as dc_replace
+
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=6))
+    calls = []
+
+    def stub(matrix, rhs, target):
+        report = ExactSolver()(matrix, rhs, target)
+        calls.append(1)
+        return dc_replace(report, achieved_residual=bad) if len(calls) == 3 else report
+
+    taken = []
+    with pytest.raises(errors.SolverFailure, match="iteration 2") as info:
+        if_ipm(preprocess(inst.lp), inst.start, IpmParams(zeta=1e-6, solver=stub),
+               observer=lambda k, it, system, d, new: taken.append(new))
+    assert info.value.iterate is taken[1]
+    assert [r.k for r in info.value.trace.records] == [0, 1]
+
+
+def _count_step_matvecs(monkeypatch, params, counted=()):
+    """Per step of a 10x20 run: the Operator.matvec calls, those made
+    inside recovery, and the calls of ``counted``, a list of
+    (module, name) pairs."""
+    from ifipm import ipm, solvers
+
+    counts = {"matvec": 0, "recover_matvec": 0}
+    in_recovery = []
+
+    def count(name, original):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            if name == "matvec" and in_recovery:
+                counts["recover_matvec"] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solvers.Operator, "matvec", count("matvec", solvers.Operator.matvec))
+    for module, name in counted:
+        monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+    recover = ipm.recover_direction
+
+    def recovering(*args, **kwargs):
+        in_recovery.append(1)
+        try:
+            return recover(*args, **kwargs)
+        finally:
+            in_recovery.pop()
+
+    monkeypatch.setattr(ipm, "recover_direction", recovering)
+    steps, seen = [], dict(counts)
+
+    def observer(k, it, system, direction, new):
+        steps.append({key: counts.get(key, 0) - seen.get(key, 0) for key in counts})
+        seen.update(counts)
+
+    inst = generate(GeneratorSpec(m=10, n=20, kappa_target=100.0, seed=4))
+    if_ipm(preprocess(inst.lp), inst.start, params, observer=observer)
+    assert len(steps) > 10
+    return steps
+
+
+@pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
+def test_exact_step_applies_its_operator_once_per_factor_solve(kind, monkeypatch):
+    # one residual for the solve and one per refinement pass, each pass one
+    # potrs; recovery takes the residual the report carries
+    from scipy.linalg import lapack
+
+    steps = _count_step_matvecs(monkeypatch, IpmParams(zeta=1e-4, system=kind),
+                                counted=[(lapack, "dpotrs")])
+    for step in steps:
+        assert step["recover_matvec"] == 0
+        assert step["matvec"] == step["dpotrs"] >= 1
+
+
+@pytest.mark.parametrize("kind", [SystemKind.MNES, SystemKind.PNES])
+def test_cg_step_applies_its_operator_once_per_cg_step_plus_one(kind, monkeypatch):
+    cg_steps = []
+
+    def cg(matrix, rhs, target):
+        report = CgSolver()(matrix, rhs, target)
+        cg_steps.append(report.iterations)
+        return report
+
+    steps = _count_step_matvecs(monkeypatch,
+                                IpmParams(zeta=1e-4, system=kind, solver=cg))
+    assert [step["matvec"] for step in steps] == [k + 1 for k in cg_steps[:len(steps)]]
+    assert all(step["recover_matvec"] == 0 for step in steps)
+
+
+def test_oracle_step_recovery_applies_the_operator_itself(monkeypatch):
+    # the oracle's report carries no residual, so recovery forms it
+    steps = _count_step_matvecs(
+        monkeypatch, IpmParams(zeta=1e-4, solver=OracleSolver(seed=3)))
+    assert all(step["recover_matvec"] == 1 for step in steps)
 
 
 @pytest.mark.parametrize("kind", list(SystemKind))

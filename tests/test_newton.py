@@ -523,6 +523,31 @@ def test_residual_correction_bound(central_instance):
         assert np.all(direction.correction_v[off_basis] == 0.0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_recovery_from_the_reported_residual_is_bit_identical(kind, central_instance):
+    # a solve's rhs - matvec(z), negated, is the r_hat recovery forms
+    # itself, bit for bit; given it, recovery applies no operator
+    from ifipm.solvers import CgSolver, ExactSolver
+
+    prep = preprocess(central_instance.lp)
+    it = feasible_iterate(np.random.default_rng(13), central_instance)
+    sys = assemble(kind, it, prep, beta=0.9)
+    handle = CgSolver() if sys.positive_definite else ExactSolver()
+    report = handle(sys, sys.rhs, 1e-2 * np.linalg.norm(sys.rhs))
+    applied = []
+    matvec = sys.matvec
+    object.__setattr__(sys, "matvec", lambda z: applied.append(z) or matvec(z))
+    itself = recover_direction(sys, report.solution, it, prep)
+    needs_residual = kind in (SystemKind.NES, SystemKind.MNES, SystemKind.PNES)
+    assert len(applied) == needs_residual
+    given_residual = recover_direction(sys, report.solution, it, prep,
+                                       residual=report.residual)
+    assert len(applied) == needs_residual
+    for field in ("dx", "dy", "ds", "residual_hat", "correction_v"):
+        np.testing.assert_array_equal(getattr(given_residual, field),
+                                      getattr(itself, field))
+
+
 def test_proc_a_zero_residual_matches_exact(central_instance):
     lp = central_instance.lp
     prep = preprocess(lp)

@@ -424,3 +424,111 @@ def test_no_system_reaches_the_symmetry_probe(monkeypatch):
     # a bare matrix is probed once per refinement, not once per loop
     assert _refine_bare_spd().iterations >= 2
     assert len(probed) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", [
+    lambda M, b: solve_exact(M, b),
+    lambda M, b: solve_cg(M, b, 1e-6),
+    lambda M, b: inexact_oracle(M, b, 1e-6),
+    lambda M, b: inexact_oracle(M, b, 1e-6, mode="adversarial"),
+    lambda M, b: refine_linear(OracleSolver(), M, b, 1e-6, 0.1),
+    lambda M, b: PcgSolver()(M, b, 1e-6),
+    lambda M, b: RefiningSolver()(M, b, 1e-6),
+], ids=["solve_exact", "solve_cg", "oracle-random", "oracle-adversarial",
+        "refine_linear", "PcgSolver", "RefiningSolver"])
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "operator"])
+def test_non_finite_rhs_is_an_input_error(solve, bad, operator):
+    # refinement died in math.ceil with a bare ValueError, CG returned a
+    # nan residual and the exact solve called it a singular matrix
+    M = Operator(E_N=np.eye(3)) if operator else 2.0 * np.eye(3)
+    with pytest.raises(errors.NonFinite):
+        solve(M, np.array([1.0, bad, 0.0]))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda M, b: solve_exact(M, b),
+    lambda M, b: solve_cg(M, b, 1e-6),
+    lambda M, b: solve_cg(M, b, 1e-14, max_iterations=2),
+    lambda M, b: PcgSolver()(M, b, 1e-6),
+    lambda M, b: refine_linear(OracleSolver(), M, b, 1e-9, 0.1),
+    lambda M, b: refine_linear(ExactSolver(), M, b, 1e3, 0.1),
+], ids=["solve_exact", "cg", "cg-budget", "pcg", "refine", "refine-zero-loops"])
+def test_reports_carry_the_residual_they_measure(solve):
+    # rhs - matvec(solution), the vector behind achieved_residual
+    rng = np.random.default_rng(11)
+    M = Operator(E_N=rng.standard_normal((8, 5)))
+    b = rng.standard_normal(8)
+    rep = solve(M, b)
+    np.testing.assert_array_equal(rep.residual, b - M.matvec(rep.solution))
+    assert rep.achieved_residual == np.linalg.norm(rep.residual)
+
+
+def test_oracle_report_carries_no_residual():
+    # it measures with the dense matrix, which recovery does not use
+    rep = inexact_oracle(Operator(E_N=np.eye(3)), np.ones(3), 1e-6)
+    assert rep.residual is None
+
+
+def _oracle_direction(seed, n=40):
+    # on 2 I the exact solution is b / 2, so the perturbation is the draw
+    b = np.linspace(1.0, 2.0, n)
+    return inexact_oracle(2.0 * np.eye(n), b, 1e-3, seed=seed).solution - b / 2.0
+
+
+def test_oracle_draw_ignores_calls_in_between():
+    rng = np.random.default_rng(12)
+    M = random_spd(rng, 9)
+    b = rng.standard_normal(9)
+    first = inexact_oracle(M, b, 1e-5, seed=5)
+    for seed in (0, 6, 2**63, 2**64 - 1):
+        inexact_oracle(random_spd(rng, 4), rng.standard_normal(4), 1e-3, seed=seed)
+    OracleSolver(seed=5)(M, b, 1e-5)
+    again = inexact_oracle(M, b, 1e-5, seed=5)
+    np.testing.assert_array_equal(again.solution, first.solution)
+    assert again.achieved_residual == first.achieved_residual
+
+
+def test_oracle_draws_per_thread_match_serial():
+    import threading
+
+    seeds = list(range(40))
+    serial = [_oracle_direction(seed) for seed in seeds]
+    start = threading.Barrier(2)
+    results = {}
+
+    def work(name, order):
+        start.wait()
+        results[name] = {seed: _oracle_direction(seed) for seed in order}
+
+    threads = [threading.Thread(target=work, args=("up", seeds)),
+               threading.Thread(target=work, args=("down", seeds[::-1]))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got in results.values():
+        for seed, expected in zip(seeds, serial):
+            np.testing.assert_array_equal(got[seed], expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 41, 2**40])
+def test_oracle_neighbouring_seeds_are_not_shifted_copies(seed):
+    # each seed owns its own substream: seed + 1 does not start a few draws
+    # further along seed's
+    d0, d1 = _oracle_direction(seed), _oracle_direction(seed + 1)
+    for a, b in ((d0, d1), (d1, d0)):
+        for shift in range(4):
+            ratio = a[shift:] / b[:b.size - shift]
+            assert not np.allclose(ratio, ratio[0], rtol=1e-6)
+
+
+def test_oracle_seed_none_is_seed_zero():
+    np.testing.assert_array_equal(inexact_oracle(np.eye(5), np.ones(5), 1e-4).solution,
+                                  inexact_oracle(np.eye(5), np.ones(5), 1e-4, seed=0).solution)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_oracle_seed_outside_its_range_rejected(seed):
+    with pytest.raises(errors.InvalidParameters):
+        inexact_oracle(np.eye(3), np.ones(3), 1e-4, seed=seed)
