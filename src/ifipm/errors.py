@@ -71,7 +71,9 @@ class SingularDiagonal(SolveError):
 
 
 class BasisNotFound(SolveError):
-    """Greedy basis selection found fewer than m independent columns."""
+    """No basis of m independent columns was found: the greedy selection
+    found fewer, or no basis of a refinement subproblem passed
+    preprocessing."""
 
 
 class TooLarge(InputError):

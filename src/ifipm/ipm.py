@@ -339,7 +339,10 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
     maximum-weight basis of its warm start, which keeps the basis-scaled
     system bounded even when the warm start sits close to an optimal
     face (any basis is admissible for the preprocessing, and this choice
-    is the preconditioning one).
+    is the preconditioning one). When that set fails the preprocessing
+    test, the subproblem's own pivoted-QR basis is used; if that fails
+    too, :class:`~ifipm.errors.BasisNotFound` is raised with the loop's
+    prefix, the accumulated iterate and the last inner loop's trace.
 
     Returns ``(final_iterate, states)`` with one
     :class:`RefinementState` per loop.
@@ -377,7 +380,18 @@ def ir_if_ipm(lp: LinearProgram, start: Iterate, zeta: float, zeta_hat: float,
             sub_zeta = deep / least if mu_warm >= deep / least**2 else deep
         sub_lp = LinearProgram(lp.A, scale * lp.b, scale * current.s)
         warm = Iterate(scale * current.x, np.zeros(lp.m), scale * current.s)
-        sub_prep = preprocess(sub_lp, basis=select_basis_mwb(warm, lp.A))
+        try:
+            sub_prep = preprocess(sub_lp, basis=select_basis_mwb(warm, lp.A))
+        except errors.SingularBasis:
+            # the greedy's threshold is looser than preprocessing's; the
+            # subproblem's own pivoted-QR basis costs no further QR
+            try:
+                sub_prep = preprocess(sub_lp)
+            except errors.SingularBasis as exc:
+                raise errors.BasisNotFound(
+                    f"loop {len(states) + 1}: no basis of the rescaled "
+                    f"subproblem passes preprocessing: {exc}",
+                    iterate=current, trace=trace) from exc
         try:
             refined, trace = if_ipm(sub_prep, warm, replace(params, zeta=sub_zeta))
         except errors.NotInNeighborhood as exc:

@@ -10,12 +10,13 @@ products on first use and keeps them, which changes no result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import errors
 from .solvers import Operator, _norm
@@ -49,12 +50,21 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 class LinearProgram:
     """Validated standard-form instance.
 
-    Construction fails on non-finite entries, on m > n, and on rank(A) < m.
+    Construction fails on non-finite entries, on m > n, and on rank(A) < m
+    as ``np.linalg.matrix_rank`` decides it. One column-pivoted QR of A
+    decides the rank without an SVD when its leading m x m triangle
+    ``R11`` certifies it: ``sigma_m(A) >= sigma_min(R11) >= 1 /
+    ||R11^{-1}||_F``, and ``matrix_rank``'s tolerance is at most
+    ``||A||_F max(m, n) eps``, so rank m is certain when ``2 ||A||_F
+    max(m, n) eps ||R11^{-1}||_F < 1``. Only an uncertified A runs
+    ``matrix_rank``. The pivots and ``|diag(R)|`` are kept for
+    :func:`preprocess`'s own choice of basis.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    _pivoted: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -67,7 +77,9 @@ class LinearProgram:
             raise errors.NonFinite("problem data contains NaN or Inf")
         if m > n:
             raise errors.DimensionOrder(f"m={m} exceeds n={n}")
-        if np.linalg.matrix_rank(A) < m:
+        qr, pivots = _pivoted_qr(A)
+        object.__setattr__(self, "_pivoted", (pivots, np.abs(np.diag(qr))))
+        if not _full_rank_certified(A, qr) and np.linalg.matrix_rank(A) < m:
             raise errors.RankDeficient(f"rank(A) < m={m}")
 
     @property
@@ -257,35 +269,76 @@ def in_neighborhood(it: Iterate, theta: float) -> bool:
     return bool(_norm(products - mu) <= theta * mu)
 
 
-def _auto_basis(A: np.ndarray) -> list:
-    """Column-pivoted elimination: first m pivot columns of a rank-revealing QR."""
-    m = A.shape[0]
-    _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size < m or diag[m - 1] <= BASIS_TOL * max(diag[0], 1.0):
+def _pivoted_qr(A: np.ndarray):
+    """The packed ``R`` and 0-based pivots of A's column-pivoted QR.
+
+    The raw LAPACK call, given the workspace size ``scipy.linalg.qr``
+    queries, gives the same bits as ``scipy.linalg.qr(A, pivoting=True)``
+    without forming Q. Below the diagonal the packed array holds the
+    reflectors.
+    """
+    m, n = A.shape
+    query = lapack.dgeqp3(np.empty((m, n), order="F"), lwork=-1, overwrite_a=1)
+    qr, pivots, _, _, _ = lapack.dgeqp3(A, lwork=int(query[3][0]))
+    return qr, pivots - 1
+
+
+def _full_rank_certified(A: np.ndarray, qr: np.ndarray) -> bool:
+    """True when the QR's leading triangle certifies rank(A) = m (see
+    :class:`LinearProgram`); False leaves the decision to an SVD."""
+    m, n = A.shape
+    inverse, info = lapack.dtrtri(qr[:m, :m])
+    if info != 0:
+        return False
+    bound = (2.0 * float(np.linalg.norm(A)) * max(m, n) * np.finfo(float).eps
+             * float(np.linalg.norm(np.triu(inverse))))
+    return bound < 1.0
+
+
+def _auto_basis(lp: LinearProgram) -> list:
+    """Column-pivoted elimination: the first m pivot columns of the
+    program's rank-revealing QR."""
+    m = lp.m
+    pivots, diag = lp._pivoted
+    if diag[m - 1] <= BASIS_TOL * max(diag[0], 1.0):
         raise errors.SingularBasis("no invertible m-column basis found")
-    return sorted(int(j) for j in piv[:m])
+    return sorted(int(j) for j in pivots[:m])
 
 
 def preprocess(lp: LinearProgram, basis=None) -> PreprocessedProgram:
     """Fix a basis and precompute its inverse products.
 
     With ``basis`` omitted, a basis is selected deterministically by
-    column-pivoted elimination (pivot threshold ``BASIS_TOL``). This is a
-    one-time O(m^2 n) step; the result is reused for every normal-equation
-    modification built from the program.
+    column-pivoted elimination (pivot threshold ``BASIS_TOL``), read from
+    the QR the program was validated with. The basis is rejected when
+    ``sigma_min(A_B) <= BASIS_TOL * max(sigma_max(A_B), 1)``. Its record
+    decides that without an SVD when ``2 * BASIS_TOL * max(sqrt(m) *
+    certificate, ||A_B^{-1}||_F) < 1``, since ``sigma_max(A_B) /
+    sigma_min(A_B) <= sqrt(m) * certificate`` and ``1 / sigma_min(A_B) <=
+    ||A_B^{-1}||_F``; only an uncertified basis takes the SVD. The cost is
+    one inversion of ``A_B`` and the O(m^2 n) products of
+    :meth:`BasisFactors.of`; the result is reused for every
+    normal-equation modification built from the program.
     """
     if basis is None:
-        basis = _auto_basis(lp.A)
+        basis = _auto_basis(lp)
     basis = [int(j) for j in basis]
     if len(basis) != lp.m or len(set(basis)) != lp.m:
         raise errors.SingularBasis(f"basis must hold {lp.m} distinct indices")
     if min(basis) < 0 or max(basis) >= lp.n:
         raise errors.SingularBasis("basis index out of range")
-    sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
-    if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
-        raise errors.SingularBasis("supplied basis columns are linearly dependent")
-    return PreprocessedProgram(lp, BasisFactors.of(lp.A, basis))
+    dependent = "supplied basis columns are linearly dependent"
+    try:
+        factors = BasisFactors.of(lp.A, basis)
+    except errors.SingularBasis as exc:
+        raise errors.SingularBasis(dependent) from exc
+    bound = max(math.sqrt(lp.m) * factors.certificate,
+                float(np.linalg.norm(factors.inverse)))
+    if not 2.0 * BASIS_TOL * bound < 1.0:
+        sv = np.linalg.svd(lp.A[:, basis], compute_uv=False)
+        if sv[-1] <= BASIS_TOL * max(sv[0], 1.0):
+            raise errors.SingularBasis(dependent)
+    return PreprocessedProgram(lp, factors)
 
 
 def nonsingular_bases(A: np.ndarray):

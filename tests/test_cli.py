@@ -198,6 +198,20 @@ def test_instance_without_interior_is_input_error(tmp_path, capsys):
     assert "no 'interior' start" in capsys.readouterr().err
 
 
+def test_instance_with_a_repeated_row_is_rank_deficient(tmp_path, capsys):
+    # a repeated row leaves the pivoted QR without a rank certificate, and
+    # the SVD it falls back to finds rank(A) < m
+    inst = tmp_path / "inst.json"
+    run("generate", "--m", 3, "--n", 6, "--seed", 2, "--out", inst)
+    payload = json.loads(inst.read_text())
+    payload["A"][2] = payload["A"][0]
+    payload["b"][2] = payload["b"][0]
+    inst.write_text(json.dumps(payload))
+    assert run("solve", "--instance", inst, "--out", tmp_path / "s.json") == 2
+    assert "rank(A) < m=3" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_solver_table_builds_each_handle():
     from ifipm import cli
     from ifipm.solvers import CgSolver, ExactSolver, OracleSolver, PcgSolver, RefiningSolver

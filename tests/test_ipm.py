@@ -539,6 +539,66 @@ def test_refinement_raises_carry_partial_state(failure, monkeypatch):
         assert info.value.iterate is runs[0][0]
 
 
+def _with_copied_column(inst, j, t=0.5):
+    """``inst`` with column ``j`` of A appended again: the copy's x is
+    ``t`` (b grows by ``t a_j``) and its c makes the start's new product
+    exactly its measure, so the start stays in the neighborhood."""
+    lp, start = inst.lp, inst.start
+    mu = start.mu
+    A = np.hstack([lp.A, lp.A[:, [j]]])
+    c = np.append(lp.c, lp.A[:, j] @ start.y + mu / t)
+    copied = LinearProgram(A, lp.b + t * lp.A[:, j], c)
+    return copied, Iterate(np.append(start.x, t), start.y, np.append(start.s, mu / t))
+
+
+def test_refinement_falls_back_from_a_dependent_basis(monkeypatch):
+    # a loop's maximum-weight set that preprocessing refuses is a numerical
+    # event of the run, not bad input: the subproblem's pivoted-QR basis
+    # takes over, and the run still meets its target
+    from ifipm import ipm
+
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=3))
+    lp, start = _with_copied_column(inst, j=2)
+    dependent = [2, lp.n - 1, 0, 1]  # two equal columns
+    assert np.array_equal(lp.A[:, 2], lp.A[:, -1])
+    offered = []
+
+    def dependent_set(it, A, factors_for=None):
+        offered.append(dependent)
+        return dependent
+
+    monkeypatch.setattr(ipm, "select_basis_mwb", dependent_set)
+    with pytest.raises(errors.SingularBasis):
+        preprocess(lp, dependent)
+    final, states = ir_if_ipm(lp, start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
+    assert len(offered) == len(states) - 1 >= 1
+    assert final.mu <= 1e-8
+    assert residuals(lp, final).primal_inf <= FEAS_RTOL * (1.0 + np.abs(lp.b).max())
+
+
+def test_refinement_without_an_admissible_basis_is_a_solve_error(monkeypatch):
+    # when the pivoted-QR basis fails too, the loop raises a SolveError
+    # with its prefix, the accumulated iterate and the last trace
+    from ifipm import ipm
+
+    inst = generate(GeneratorSpec(m=4, n=9, kappa_target=10.0, seed=3))
+    original, runs = ipm.preprocess, []
+
+    def only_the_first_passes(lp, basis=None):
+        runs.append(basis)
+        if len(runs) > 1:
+            raise errors.SingularBasis("supplied basis columns are linearly dependent")
+        return original(lp, basis)
+
+    monkeypatch.setattr(ipm, "preprocess", only_the_first_passes)
+    with pytest.raises(errors.BasisNotFound, match="^loop 2: ") as info:
+        ir_if_ipm(inst.lp, inst.start, zeta=1e-8, zeta_hat=1e-2, params=IpmParams())
+    assert isinstance(info.value, errors.SolveError)
+    assert len(runs) == 3 and runs[2] is None  # the MWB set, then the QR basis
+    assert info.value.iterate is not None and info.value.iterate.mu > 1e-8
+    assert info.value.trace is not None
+
+
 def test_refinement_first_loop_failure_names_loop_1():
     # CG cannot solve the nonsymmetric orthogonal-subspaces system, so the
     # very first inner loop raises
